@@ -82,8 +82,8 @@ void BM_ServeIngestThroughput(benchmark::State& state) {
   std::uint64_t final_nnz = 0;
   for (auto _ : state) {
     stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+        g.num_vertices(), shards, p,
+        {.pool = &pool, .compaction = stream::Compaction::kBackground});
     for (const auto& batch : batches) b.ingest(batch);
     b.drain();
     const auto a = b.adjacency();
@@ -110,8 +110,8 @@ void BM_ServeMixed(benchmark::State& state) {
   std::vector<double> latencies_ms;
   for (auto _ : state) {
     stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+        g.num_vertices(), shards, p,
+        {.pool = &pool, .compaction = stream::Compaction::kBackground});
     std::atomic<bool> done{false};
     std::vector<std::vector<double>> per_reader(kQueryThreads);
     std::vector<std::thread> readers;
@@ -165,9 +165,10 @@ void BM_ServeDegraded(benchmark::State& state) {
   std::uint64_t backpressure_events = 0;
   for (auto _ : state) {
     stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground,
-        kMaxPendingMerges);
+        g.num_vertices(), shards, p,
+        {.pool = &pool,
+         .compaction = stream::Compaction::kBackground,
+         .max_pending_merges = kMaxPendingMerges});
     std::atomic<bool> done{false};
     std::vector<std::vector<double>> per_reader(kQueryThreads);
     std::vector<std::thread> readers;

@@ -63,7 +63,7 @@ void BM_StreamIngest(benchmark::State& state) {
   std::uint64_t final_nnz = 0;
   for (auto _ : state) {
     stream::AdjacencyBuilder<algebra::PlusTimes<double>> b(g.num_vertices(),
-                                                           p);
+                                                           p, {});
     for (const auto& batch : batches) b.ingest(batch);
     const auto a = b.adjacency();
     benchmark::DoNotOptimize(a.nnz());
@@ -91,7 +91,7 @@ void BM_StreamServe(benchmark::State& state) {
   std::uint64_t final_nnz = 0;
   for (auto _ : state) {
     stream::AdjacencyBuilder<algebra::PlusTimes<double>> b(g.num_vertices(),
-                                                           p);
+                                                           p, {});
     std::uint64_t serve_writes = 0;
     for (const auto& batch : batches) {
       b.ingest(batch);

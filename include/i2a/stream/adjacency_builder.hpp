@@ -1,9 +1,10 @@
 #pragma once
 /// \file stream/adjacency_builder.hpp
-/// \brief Concurrent streaming adjacency maintenance: ingest edge
-///        batches, keep A = Eᵀout ⊕.⊗ Ein current, and serve lock-free
-///        epoch-pinned snapshots to readers while the writer appends and
-///        compacts.
+/// \brief The streaming builder: ingest edge batches, keep
+///        A = Eᵀout ⊕.⊗ Ein current over k ≥ 1 row-sharded ladders,
+///        serve lock-free epoch-pinned snapshots to readers while the
+///        writer appends and compacts, and optionally log every batch
+///        for crash recovery.
 ///
 /// The paper states Theorem II.1 for a static edge list; a serving
 /// system sees edges in batches *and queries between them*. Because the
@@ -16,7 +17,7 @@
 /// every snapshot is byte-identical to a full rebuild from the
 /// concatenated prefix of batches it covers.
 ///
-/// **Run-list ladder.** The builder keeps a list of immutable CSR runs,
+/// **Run-list ladder.** Each ladder keeps a list of immutable CSR runs,
 /// oldest first, each covering a consecutive interval of batches — the
 /// logarithmic-method / LSM shape expressed as a list instead of
 /// fixed-power-of-two slots, so compaction can happen asynchronously.
@@ -28,26 +29,44 @@
 /// batches) times total — the same amortized O(nnz · log batches)
 /// maintenance as the PR 4 binary-counter ladder, with identical bytes.
 ///
+/// **Row sharding.** Theorem II.1 makes A(i,:) the ⊕-fold of exactly
+/// the edges whose source is i, so hash-partitioning source vertices
+/// across k ladders partitions the fold by row: sharding is exact, and
+/// the plain builder is simply k = 1. Every ladder builds over the full
+/// n × n shape (rows it doesn't own stay empty), so a snapshot is the
+/// concatenation of every ladder's pinned run list; per row, all
+/// contributing runs come from the one owning ladder in batch-age order,
+/// so the bytes do not depend on k (pinned per prefix by
+/// test_sharded_differential). The shard hash is a splitmix64-style
+/// finalizer, not `src % k`: generator vertex ids are dense, and
+/// real-world id schemes stripe (hubs at round numbers, region
+/// prefixes), so a plain modulus can systematically starve shards
+/// (DESIGN.md §9).
+///
 /// **Concurrency model (the serving core).** Single writer, any number
-/// of readers:
+/// of readers. Each ladder has its own mutex and its own background
+/// compaction chain; one coordination mutex orders (commit to every
+/// ladder) against (read every ladder), so a snapshot or `stats()`
+/// always sees every ladder at the same epoch:
 ///
 ///   * `snapshot()` — callable from ANY thread at ANY time, concurrent
-///     with ingest and compaction. It takes the ladder lock only to copy
-///     O(log batches) shared_ptrs plus the epoch counter, then the
+///     with ingest and compaction. It takes the locks only to copy
+///     O(k log batches) shared_ptrs plus the epoch counter, then the
 ///     reader traverses its `PinnedSnapshot` with no further
 ///     synchronization. Retired runs are reclaimed when the last
 ///     snapshot pinning them drops (refcount = epoch drain).
 ///   * `ingest()` — one thread at a time (external serialization; any
 ///     thread may be the writer when a mutex orders the handoff). The
-///     expensive delta build runs without the ladder lock; publishing
-///     the delta is an O(log batches) append under the lock.
+///     expensive work — routing, delta staging, inline merges — runs
+///     without any lock; the commit is k O(log batches) splices under
+///     the coordination lock.
 ///   * Compaction — `Compaction::kInline` (default) merges synchronously
 ///     inside `ingest`; `Compaction::kBackground` only *schedules* the
 ///     merge as a detached `ThreadPool::submit` task: the task replaces
-///     the merged group under the lock when done and re-schedules itself
-///     while more suffixes qualify. Readers are never blocked by a merge
-///     in either mode: every merge works on private run handles and
-///     commits by pointer splice under the lock.
+///     the merged group under its ladder's lock when done and
+///     re-schedules itself while more suffixes qualify. Readers are
+///     never blocked by a merge in either mode: every merge works on
+///     private run handles and commits by pointer splice under the lock.
 ///
 /// **Failure model (DESIGN.md §10; swept by tests/test_failpoints.cpp).**
 /// Every fallible step is classified, and each class has one documented
@@ -55,19 +74,21 @@
 ///
 ///   * *Strong guarantee on ingest.* Anything that throws out of
 ///     `ingest()` — batch validation, delta staging (incidence assembly,
-///     SpGEMM), and in inline mode the compaction merges themselves —
-///     leaves the builder exactly as before the call: same runs, same
-///     stats, same epoch; snapshots never see a torn batch. Inline
-///     compaction earns this by settling a private copy of the run list
-///     and committing it with a single noexcept splice.
+///     SpGEMM), in inline mode the compaction merges themselves, and
+///     the WAL append — leaves the builder exactly as before the call:
+///     same runs, same stats, same epoch on every ladder; snapshots
+///     never see a torn batch. Ingest is two-phase: every ladder is
+///     *prepared* on private state first (inline compaction settles a
+///     private copy of the run list), then all ladders *commit* with
+///     noexcept splices under the coordination lock.
 ///   * *Deferred errors from background compaction.* A background merge
 ///     failure (⊕ may throw; so may allocation) cannot be thrown at the
 ///     writer synchronously — the batch that scheduled it was already
-///     consumed. The failure is queued; the compaction chain parks. Each
-///     queued failure is delivered **exactly once**, at the next
-///     `drain()` or `ingest()` (whichever comes first; ingest rethrows
-///     before consuming its batch). `snapshot()` stays non-throwing — it
-///     *peeks* the oldest pending failure into
+///     consumed. The failure is queued on its ladder; that compaction
+///     chain parks. Each queued failure is delivered **exactly once**,
+///     at the next `drain()` or `ingest()` (whichever comes first;
+///     ingest rethrows before consuming its batch). `snapshot()` stays
+///     non-throwing — it *peeks* the oldest pending failure into
 ///     `PinnedSnapshot::pending_error()` without consuming it, so
 ///     readers can observe degraded freshness while the writer still
 ///     gets its exactly-once delivery.
@@ -80,15 +101,22 @@
 ///
 /// **Backpressure.** In background mode an unbounded writer can outrun
 /// the compactor, growing the run list (and every reader's per-row merge
-/// fan-in) without bound. `max_pending_merges` caps the debt: after each
-/// publish, if the number of merges the policy still owes exceeds the
-/// cap, `ingest` stalls: it waits out the in-flight task (whose splice
-/// usually replans the chain and clears the debt) and, if still over
-/// budget, claims the compaction token and settles the ladder inline
-/// before returning — the writer pays the merge cost the background
-/// lane deferred. Each such stall increments
+/// fan-in) without bound. `max_pending_merges` caps the debt of each
+/// ladder: after each publish, if the number of merges the policy still
+/// owes exceeds the cap, `ingest` stalls: it waits out the in-flight
+/// task (whose splice usually replans the chain and clears the debt)
+/// and, if still over budget, claims the compaction token and settles
+/// the ladder inline before returning — the writer pays the merge cost
+/// the background lane deferred. Each such stall increments
 /// `Stats::backpressure_events`; `Stats::pending_merges` is the live
 /// debt. The default is unbounded (PR 7 behavior).
+///
+/// **Durability (DESIGN.md §12).** A builder with a `wal_dir` owns one
+/// WAL for all its ladders: each batch is logged once, un-routed, and
+/// the deterministic shard hash re-routes it identically on replay. The
+/// manifest records k, so recovery refuses a directory written under a
+/// different sharding; k = 1 writes the same bytes whichever name built
+/// it.
 ///
 /// Canonical-CSR postconditions (`I2A_ENSURES`) hold for every run the
 /// ladder ever exposes, whether an inline merge, a background-task
@@ -126,10 +154,6 @@
 
 namespace i2a::stream {
 
-template <typename P>
-  requires algebra::Semiring<P>
-class ShardedBuilder;
-
 /// How a batch's incidence arrays draw their entries — mirrors the two
 /// batch-construction entry points (`incidence_arrays` /
 /// `weighted_incidence_arrays`).
@@ -150,9 +174,9 @@ enum class Compaction {
 inline constexpr std::size_t kUnboundedPendingMerges =
     static_cast<std::size_t>(-1);
 
-/// Aggregated construction options for `AdjacencyBuilder` /
-/// `ShardedBuilder`. The first block mirrors the positional constructor
-/// parameters; the second configures the durability subsystem
+/// Construction options for `AdjacencyBuilder`, meant to be spelled
+/// with designated initializers. The first block configures staging and
+/// compaction; the second configures the durability subsystem
 /// (DESIGN.md §12) — all of it inert while `wal_dir` is empty.
 struct Options {
   Weighting weighting = Weighting::kUnweighted;
@@ -166,7 +190,7 @@ struct Options {
   /// bit). A fresh builder refuses a directory that already holds
   /// durable state: that data is recoverable, so constructing over it
   /// would be silent data loss — use `recover()` instead.
-  std::string wal_dir;
+  std::string wal_dir{};
   /// When an acknowledged batch is durable (see stream/wal.hpp).
   Durability durability = Durability::kFsyncEachBatch;
   /// WAL segment rotation threshold.
@@ -175,31 +199,24 @@ struct Options {
   /// background pool (0 = never). Checkpoints bound replay time and let
   /// fully-covered WAL segments retire.
   std::uint64_t checkpoint_every = 0;
-
-  /// Copy with durability stripped — what each shard of a
-  /// `ShardedBuilder` gets (the sharded builder owns the one WAL).
-  Options without_durability() const {
-    Options o = *this;
-    o.wal_dir.clear();
-    o.checkpoint_every = 0;
-    return o;
-  }
 };
 
-/// Maintains A over a batched edge stream for one operator pair.
-/// Writer calls (`ingest`) must be externally serialized; `snapshot`,
-/// `adjacency`, `stats`, `num_levels` and `drain` are safe from any
-/// thread concurrently with the writer and with background compaction
-/// (pinned under TSan by test_serve). The ladder regroups the ⊕-fold
-/// across batches and the per-batch delta is a full ⊕.⊗ product, so the
-/// pair must declare the complete `Semiring` contract.
+/// Maintains A over a batched edge stream for one operator pair, row-
+/// sharded over k ≥ 1 ladders. Writer calls (`ingest`) must be
+/// externally serialized; `snapshot`, `adjacency`, `stats`,
+/// `num_levels` and `drain` are safe from any thread concurrently with
+/// the writer and with background compaction (pinned under TSan by
+/// test_serve). The ladder regroups the ⊕-fold across batches and the
+/// per-batch delta is a full ⊕.⊗ product, so the pair must declare the
+/// complete `Semiring` contract.
 template <typename P>
   requires algebra::Semiring<P>
 class AdjacencyBuilder {
  public:
   using value_type = typename P::value_type;
 
-  /// Maintenance-cost accounting, the bench counters.
+  /// Maintenance-cost accounting, the bench counters. `batches` is the
+  /// epoch all ladders share; every other counter sums over ladders.
   struct Stats {
     std::uint64_t batches = 0;          ///< ingested batches (incl. empty)
     std::uint64_t edges = 0;            ///< ingested edges
@@ -211,54 +228,22 @@ class AdjacencyBuilder {
     std::uint64_t backpressure_events = 0;  ///< over-budget writer stalls
                                             ///< + submit-failure fallbacks
     std::uint64_t checkpoints = 0;      ///< durable checkpoints written
-    std::uint64_t failpoints_hit = 0;   ///< process-wide failpoint fires
-                                        ///< (always 0 in production
-                                        ///< builds; see util/failpoint.hpp)
   };
 
-  /// `max_pending_merges` bounds the background-compaction debt (see the
-  /// file comment's backpressure section); ignored in inline mode, where
-  /// the ladder settles every ingest anyway.
-  explicit AdjacencyBuilder(index_t num_vertices, P p = P{},
-                            Weighting weighting = Weighting::kUnweighted,
-                            sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
-                            util::ThreadPool* pool = nullptr,
-                            Compaction compaction = Compaction::kInline,
-                            std::size_t max_pending_merges =
-                                kUnboundedPendingMerges)
-      : AdjacencyBuilder(num_vertices, std::move(p),
-                         Options{weighting, algo, pool, compaction,
-                                 max_pending_merges, {},
-                                 Durability::kFsyncEachBatch, 64ULL << 20,
-                                 0}) {}
-
-  /// Options-struct constructor — the durable entry point. A non-empty
-  /// `opts.wal_dir` attaches a fresh WAL (segment 0, epoch 0); the
-  /// directory must not already hold durable state (use `recover()`).
+  /// A one-ladder builder (k = 1). A non-empty `opts.wal_dir` attaches
+  /// a fresh WAL (segment 0, epoch 0); the directory must not already
+  /// hold durable state (use `recover()`). `opts.max_pending_merges`
+  /// bounds each ladder's background-compaction debt (see the file
+  /// comment's backpressure section); ignored in inline mode, where the
+  /// ladder settles every ingest anyway.
   AdjacencyBuilder(index_t num_vertices, P p, const Options& opts)
-      : n_(num_vertices), p_(std::move(p)), weighting_(opts.weighting),
-        algo_(opts.algo), pool_(opts.pool), compaction_(opts.compaction),
-        max_pending_merges_(opts.max_pending_merges),
-        ladder_(std::make_shared<Ladder>()), wal_dir_(opts.wal_dir),
-        durability_(opts.durability),
-        wal_segment_bytes_(opts.wal_segment_bytes),
-        checkpoint_every_(opts.checkpoint_every) {
-    if (num_vertices < 0) {
-      throw std::invalid_argument("AdjacencyBuilder: negative vertex count");
-    }
-    if (compaction_ == Compaction::kBackground && pool_ == nullptr) {
-      // No pool means nothing can host the task; degrade to inline
-      // rather than silently never compacting.
-      compaction_ = Compaction::kInline;
-    }
-    if (!wal_dir_.empty()) {
-      manifest_ = make_manifest(/*shard_count=*/1);
-      util::ensure_dir(wal_dir_);
-      require_no_durable_state(wal_dir_);
-      wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                   /*seqno=*/0, /*start_epoch=*/0);
-    }
-  }
+      : AdjacencyBuilder(num_vertices, 1, std::move(p), opts) {}
+
+  /// A builder over `num_shards` row-sharded ladders; same contract.
+  AdjacencyBuilder(index_t num_vertices, std::size_t num_shards, P p,
+                   const Options& opts)
+      : AdjacencyBuilder(Open::kFresh, num_vertices, num_shards,
+                         std::move(p), opts) {}
 
   /// Rebuild a builder from the durable state in `opts.wal_dir`: load
   /// the newest fully-valid checkpoint (if any), replay the WAL suffix
@@ -273,18 +258,26 @@ class AdjacencyBuilder {
   /// `edges` restart at zero for the checkpointed prefix.
   static AdjacencyBuilder recover(index_t num_vertices, P p,
                                   const Options& opts) {
-    return AdjacencyBuilder(RecoverTag{}, num_vertices, std::move(p), opts);
+    return recover(num_vertices, 1, std::move(p), opts);
   }
 
-  // One ladder, one owner: copying would alias the mutable run list.
-  // Moves keep vector<AdjacencyBuilder> (the shard array) workable.
+  /// Sharded recovery: `num_shards` must match the recorded manifest.
+  static AdjacencyBuilder recover(index_t num_vertices,
+                                  std::size_t num_shards, P p,
+                                  const Options& opts) {
+    return AdjacencyBuilder(Open::kRecover, num_vertices, num_shards,
+                            std::move(p), opts);
+  }
+
+  // Ladders have one owner: copying would alias the mutable run lists.
+  // Moves keep the builder returnable from `recover`.
   AdjacencyBuilder(const AdjacencyBuilder&) = delete;
   AdjacencyBuilder& operator=(const AdjacencyBuilder&) = delete;
   AdjacencyBuilder(AdjacencyBuilder&&) noexcept = default;
   AdjacencyBuilder& operator=(AdjacencyBuilder&&) noexcept = default;
 
   /// Destruction settles first: any in-flight background compaction or
-  /// checkpoint completes (the tasks own the ladder via shared_ptr and
+  /// checkpoint completes (the tasks own their ladder via shared_ptr and
   /// the pool must outlive the builder, as for all pool users), so no
   /// task ever observes a dead builder and no error can arrive after
   /// the check below. A queued background failure that nothing drained
@@ -293,14 +286,13 @@ class AdjacencyBuilder {
   /// (explicitly discard) before destruction; silently dropping a
   /// failure is not an option the API offers anymore.
   ~AdjacencyBuilder() {
-    if (!ladder_) return;  // moved-from
-    util::MutexLock lock(ladder_->mu);
-    while (ladder_->compacting || ladder_->checkpointing) {
-      ladder_->cv.wait(ladder_->mu);
+    for (const auto& lad : ladders_) {  // empty when moved-from
+      util::MutexLock lock(lad->mu);
+      wait_settled_locked(lad);
+      I2A_ASSERT(lad->errors.empty(),
+                 "AdjacencyBuilder destroyed with undelivered background "
+                 "errors; drain() or dismiss_pending_errors() first");
     }
-    I2A_ASSERT(ladder_->errors.empty(),
-               "AdjacencyBuilder destroyed with undelivered background "
-               "errors; drain() or dismiss_pending_errors() first");
   }
 
   /// Settle in-flight background work, then acknowledge-and-discard
@@ -308,41 +300,71 @@ class AdjacencyBuilder {
   /// number discarded. This is the explicit escape hatch the destructor
   /// contract points at: "I know this builder may hold failures and I
   /// am choosing not to look".
-  std::size_t dismiss_pending_errors() noexcept I2A_EXCLUDES(ladder_->mu) {
-    if (!ladder_) return 0;
-    util::MutexLock lock(ladder_->mu);
-    while (ladder_->compacting || ladder_->checkpointing) {
-      ladder_->cv.wait(ladder_->mu);
+  std::size_t dismiss_pending_errors() noexcept {
+    std::size_t n = 0;
+    for (const auto& lad : ladders_) {
+      util::MutexLock lock(lad->mu);
+      wait_settled_locked(lad);
+      n += lad->errors.size();
+      lad->errors.clear();
     }
-    const std::size_t n = ladder_->errors.size();
-    ladder_->errors.clear();
     return n;
   }
 
   index_t num_vertices() const { return n_; }
+  std::size_t num_shards() const { return ladders_.size(); }
 
-  Stats stats() const I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    Stats s = ladder_->stats;
-    s.pending_merges = static_cast<std::uint64_t>(pending_merges_locked());
-    s.failpoints_hit = util::failpoints_fired_total();
-    return s;
+  /// Which ladder owns source vertex `src` (and adjacency row `src`).
+  std::size_t shard_of(index_t src) const {
+    auto x = static_cast<std::uint64_t>(src);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    return static_cast<std::size_t>(x % ladders_.size());
   }
 
-  /// Live ladder runs. ≤ log₂(batches) + 1 whenever the ladder is
-  /// settled — always after an inline-mode `ingest`, and after `drain()`
-  /// in background mode (mid-flight the count may transiently exceed the
-  /// bound while appends outpace the in-flight merge).
-  index_t num_levels() const I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    return static_cast<index_t>(ladder_->runs.size());
+  /// Maintenance stats, read under the coordination lock so `batches`
+  /// and the per-ladder sums always describe one and the same epoch.
+  Stats stats() const I2A_EXCLUDES(*mu_) {
+    Stats total;
+    util::MutexLock coord(*mu_);
+    for (const auto& lad : ladders_) {
+      util::MutexLock lock(lad->mu);
+      const Stats& s = lad->stats;
+      total.batches = s.batches;
+      total.edges += s.edges;
+      total.compactions += s.compactions;
+      total.delta_entries += s.delta_entries;
+      total.merged_entries += s.merged_entries;
+      total.pending_merges +=
+          static_cast<std::uint64_t>(pending_merges_locked(lad));
+      total.backpressure_events += s.backpressure_events;
+      total.checkpoints += s.checkpoints;
+    }
+    return total;
+  }
+
+  /// Live runs over all ladders — what a snapshot pins. Per ladder
+  /// ≤ log₂(batches) + 1 whenever it is settled — always after an
+  /// inline-mode `ingest`, and after `drain()` in background mode
+  /// (mid-flight the count may transiently exceed the bound while
+  /// appends outpace the in-flight merge).
+  index_t num_levels() const {
+    std::size_t runs = 0;
+    for (const auto& lad : ladders_) {
+      util::MutexLock lock(lad->mu);
+      runs += lad->runs.size();
+    }
+    return static_cast<index_t>(runs);
   }
 
   /// Ingest one batch: rethrow any pending background-merge failure
-  /// (before touching the batch), validate, build the batch's delta CSR
-  /// (sort-free incidence + SpGEMM, no ladder lock held), log it to the
-  /// WAL (durable builders only), publish it onto the run list, and
-  /// apply backpressure if configured.
+  /// (before touching the batch), validate and route it to its ladders,
+  /// stage and prepare every ladder's publish (no lock held), log it to
+  /// the WAL (durable builders only), commit every ladder under the
+  /// coordination lock, and apply backpressure if configured. Every
+  /// ladder commits every batch — ladders a batch sends no edges to
+  /// publish an empty delta — which keeps their epochs in lockstep.
   ///
   /// Strong guarantee: if this throws — validation, a pending deferred
   /// error, staging, a WAL append (which rolls its own bytes back), or
@@ -351,21 +373,46 @@ class AdjacencyBuilder {
   /// `Durability::kFsyncEachBatch` a normal return additionally means
   /// the batch is on stable storage (the acknowledged-durability
   /// contract the crash harness holds recovery to).
-  void ingest(std::span<const graph::Edge> batch) {
+  void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(*mu_) {
     rethrow_pending_error();
-    validate_batch(batch, "AdjacencyBuilder");
-    Prepared prep = prepare_publish(stage(batch), batch.size());
-    if (wal_) {
-      std::uint64_t epoch = 0;
-      {
-        util::MutexLock lock(ladder_->mu);
-        epoch = ladder_->stats.batches + 1;
+    const std::size_t k = ladders_.size();
+    std::vector<graph::Graph> parts(k, graph::Graph(n_));
+    for (const graph::Edge& e : batch) {
+      if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
+        throw std::out_of_range(
+            "AdjacencyBuilder::ingest: edge endpoint out of range");
       }
-      wal_->append(epoch, batch);
+      parts[shard_of(e.src)].edges().push_back(e);
     }
-    commit_publish(std::move(prep));
+    // Phase 1: stage + prepare, all fallible work. Nothing is consumed
+    // until every ladder has a Prepared in hand.
+    std::vector<Prepared> preps;
+    preps.reserve(k);
+    for (std::size_t s = 0; s < k; ++s) {
+      preps.push_back(prepare_publish(ladders_[s], stage(parts[s]),
+                                      parts[s].edges().size()));
+    }
+    std::vector<std::function<void()>> tasks(k);
+    // The WAL append is the last fallible step: its strong guarantee
+    // (rollback on failure) extends the un-torn property across the log
+    // and the ladders together, and once it succeeded every ladder
+    // commits — so a crash mid-commit recovers the whole batch.
+    if (wal_) wal_->append(current_epoch() + 1, batch);
+    // Phase 2: commit every ladder — noexcept each — atomically with
+    // respect to snapshot() and stats(). The compaction tasks the
+    // commits planned are submitted after the lock drops, so no merge
+    // ever runs under it.
+    {
+      util::MutexLock coord(*mu_);
+      for (std::size_t s = 0; s < k; ++s) {
+        tasks[s] = commit_publish(ladders_[s], std::move(preps[s]));
+      }
+    }
+    for (std::size_t s = 0; s < k; ++s) {
+      submit_compaction(ladders_[s], std::move(tasks[s]));
+    }
     maybe_checkpoint();
-    maybe_backpressure();
+    for (const auto& lad : ladders_) maybe_backpressure(lad);
   }
 
   /// Edge-list convenience overload.
@@ -373,21 +420,27 @@ class AdjacencyBuilder {
     ingest(std::span<const graph::Edge>(batch.data(), batch.size()));
   }
 
-  /// Pin the live run-set: O(log batches) shared_ptr copies under the
-  /// ladder lock, then the returned snapshot is traversed with no
-  /// further synchronization. Never throws past allocation: a pending
-  /// background failure is *peeked* (not consumed) into the snapshot's
-  /// `pending_error()`. See stream/pinned_snapshot.hpp.
-  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(ladder_->mu) {
+  /// Pin every ladder's run list (ladder order, oldest first within a
+  /// ladder) into one snapshot: O(k log batches) shared_ptr copies under
+  /// the locks, then the returned snapshot is traversed with no further
+  /// synchronization. Rows are disjoint across ladders, so the read
+  /// paths fold each row from exactly its owning ladder's runs. Never
+  /// throws past allocation: a pending background failure is *peeked*
+  /// (not consumed) into the snapshot's `pending_error()`. See
+  /// stream/pinned_snapshot.hpp.
+  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(*mu_) {
     std::vector<std::shared_ptr<const sparse::Csr<value_type>>> pins;
-    std::uint64_t epoch;
+    std::uint64_t epoch = 0;
     std::exception_ptr pending;
     {
-      util::MutexLock lock(ladder_->mu);
-      pins.reserve(ladder_->runs.size());
-      for (const auto& run : ladder_->runs) pins.push_back(run.csr);
-      epoch = ladder_->stats.batches;
-      pending = ladder_->errors.empty() ? nullptr : ladder_->errors.front();
+      util::MutexLock coord(*mu_);
+      for (const auto& lad : ladders_) {
+        util::MutexLock lock(lad->mu);
+        pins.reserve(pins.size() + lad->runs.size());
+        for (const Run& run : lad->runs) pins.push_back(run.csr);
+        epoch = lad->stats.batches;
+        if (!pending && !lad->errors.empty()) pending = lad->errors.front();
+      }
     }
     return PinnedSnapshot<P>(n_, p_, epoch, std::move(pins), pending);
   }
@@ -397,31 +450,23 @@ class AdjacencyBuilder {
   /// `build_adjacency` / `adjacency_array` over the concatenation of
   /// every ingested batch.
   sparse::Csr<value_type> adjacency() const {
-    return snapshot().materialize(pool_);
+    return snapshot().materialize(opts_.pool);
   }
 
   /// Block until no background compaction or checkpoint is in flight
   /// and no further one is scheduled (no-op in inline mode), then
-  /// rethrow the oldest still-undelivered background failure, if any —
-  /// each queued failure is delivered exactly once across `drain()` and
-  /// `ingest()`.
-  void drain() const I2A_EXCLUDES(ladder_->mu) {
-    std::exception_ptr err;
-    {
-      util::MutexLock lock(ladder_->mu);
-      while (ladder_->compacting || ladder_->checkpointing) {
-        ladder_->cv.wait(ladder_->mu);
-      }
-      err = pop_error_locked();
+  /// rethrow the oldest still-undelivered background failure of the
+  /// first ladder holding one, if any — each queued failure is
+  /// delivered exactly once across `drain()` and `ingest()`.
+  void drain() const {
+    for (const auto& lad : ladders_) {
+      util::MutexLock lock(lad->mu);
+      wait_settled_locked(lad);
     }
-    if (err) std::rethrow_exception(err);
+    rethrow_pending_error();
   }
 
  private:
-  template <typename Q>
-    requires algebra::Semiring<Q>
-  friend class ShardedBuilder;
-
   /// One immutable ladder run: the ⊕-fold of `weight` consecutive
   /// non-empty batches.
   struct Run {
@@ -429,10 +474,10 @@ class AdjacencyBuilder {
     std::uint64_t weight;
   };
 
-  /// Shared ladder state. Refcounted so background compaction tasks can
-  /// outlive the builder object itself; `mu` guards every member, and
-  /// the `I2A_GUARDED_BY` annotations make `-Wthread-safety` prove it on
-  /// every access path (writer, reader pin, background task).
+  /// One shard's ladder state. Refcounted so background compaction tasks
+  /// can outlive the builder object itself; `mu` guards every member,
+  /// and the `I2A_GUARDED_BY` annotations make `-Wthread-safety` prove
+  /// it on every access path (writer, reader pin, background task).
   struct Ladder {
     mutable util::Mutex mu;
     util::CondVar cv;             ///< signaled when a compaction settles
@@ -441,9 +486,9 @@ class AdjacencyBuilder {
     Stats stats I2A_GUARDED_BY(mu);
     /// True while a compaction holds the token.
     bool compacting I2A_GUARDED_BY(mu) = false;
-    /// True while a background checkpoint is in flight (at most one; a
-    /// ShardedBuilder parks its cross-shard checkpoint token on shard
-    /// 0's ladder, so drain/destruction wait on it through the same cv).
+    /// True while a background checkpoint is in flight (at most one; the
+    /// builder parks its checkpoint token on ladder 0, so drain and
+    /// destruction wait on it through the same cv).
     bool checkpointing I2A_GUARDED_BY(mu) = false;
     /// Failed background merges, oldest first; each entry is delivered
     /// exactly once (drain / ingest pop, snapshot peeks).
@@ -453,8 +498,8 @@ class AdjacencyBuilder {
   /// The staged-but-uncommitted half of a publish. `prepare_publish` does
   /// everything that can throw; `commit_publish` consumes the result with
   /// no fallible step before the batch counts as ingested — which is what
-  /// lets `ShardedBuilder` prepare every shard first and then commit them
-  /// all under one lock without risking a torn cross-shard epoch.
+  /// lets `ingest` prepare every ladder first and then commit them all
+  /// under one lock without risking a torn cross-ladder epoch.
   struct Prepared {
     bool inline_mode = false;
     std::vector<Run> runs;  ///< inline mode: the fully settled new list
@@ -466,116 +511,118 @@ class AdjacencyBuilder {
     std::size_t batch_edges = 0;
   };
 
-  /// Tag-dispatched recovery constructor (see `recover`). Delegates to
-  /// the normal constructor with durability stripped (so no fresh WAL
-  /// is attached yet), restores the checkpoint, replays the WAL suffix
-  /// through the normal publish path, then attaches a fresh segment.
-  struct RecoverTag {};
-  AdjacencyBuilder(RecoverTag, index_t num_vertices, P p, const Options& opts)
-      : AdjacencyBuilder(num_vertices, std::move(p),
-                         opts.without_durability()) {
-    if (opts.wal_dir.empty()) {
+  enum class Open { kFresh, kRecover };
+
+  /// The one real constructor. `kFresh` attaches a new WAL to an empty
+  /// directory; `kRecover` first restores the newest checkpoint into
+  /// every ladder and replays the WAL suffix through `ingest` — with no
+  /// WAL attached yet, so replay logs nothing twice and schedules no
+  /// checkpoint — then attaches a fresh segment.
+  AdjacencyBuilder(Open open, index_t num_vertices, std::size_t num_shards,
+                   P p, const Options& opts)
+      : n_(num_vertices), p_(std::move(p)), opts_(opts),
+        mu_(std::make_unique<util::Mutex>()) {
+    if (num_vertices < 0) {
+      throw std::invalid_argument("AdjacencyBuilder: negative vertex count");
+    }
+    if (num_shards == 0) {
+      throw std::invalid_argument("AdjacencyBuilder: zero shards");
+    }
+    if (open == Open::kRecover && opts_.wal_dir.empty()) {
       throw std::invalid_argument("AdjacencyBuilder::recover: empty wal_dir");
     }
-    wal_dir_ = opts.wal_dir;
-    durability_ = opts.durability;
-    wal_segment_bytes_ = opts.wal_segment_bytes;
-    checkpoint_every_ = opts.checkpoint_every;
-    manifest_ = make_manifest(/*shard_count=*/1);
-    util::ensure_dir(wal_dir_);
-    std::uint64_t start_epoch = 0;
-    if (auto ckpt = load_newest_checkpoint<value_type>(wal_dir_, manifest_)) {
-      start_epoch = ckpt->epoch;
-      restore_runs(std::move(ckpt->shards[0]), ckpt->epoch, ckpt->edges[0]);
+    if (opts_.compaction == Compaction::kBackground && opts_.pool == nullptr) {
+      // No pool means nothing can host the task; degrade to inline
+      // rather than silently never compacting.
+      opts_.compaction = Compaction::kInline;
     }
-    const WalReplayStats rstats = replay_wal(
-        wal_dir_, manifest_, start_epoch,
-        [this](std::uint64_t, const std::vector<graph::Edge>& edges) {
-          // Injection site: one evaluation per replayed batch, so the
-          // sweep can kill recovery itself mid-replay and prove a
-          // second recover() of the same directory still succeeds.
-          I2A_FAILPOINT("recover.replay");
-          ingest_unlogged(
-              std::span<const graph::Edge>(edges.data(), edges.size()));
-        });
-    std::uint64_t epoch_now = 0;
-    {
-      util::MutexLock lock(ladder_->mu);
-      epoch_now = ladder_->stats.batches;
+    ladders_.reserve(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      ladders_.push_back(std::make_shared<Ladder>());
     }
-    wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                 rstats.any_segment ? rstats.last_seqno + 1 : 0, epoch_now);
-  }
-
-  /// The durable-directory identity this instantiation writes/expects.
-  WalManifest make_manifest(std::uint32_t shard_count) const {
-    return WalManifest{algebra_tag<P>(),
-                       static_cast<std::uint64_t>(n_), shard_count,
-                       static_cast<std::uint32_t>(weighting_)};
-  }
-
-  void validate_batch(std::span<const graph::Edge> batch,
-                      const char* who) const {
-    for (const graph::Edge& e : batch) {
-      if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
-        throw std::out_of_range(std::string(who) +
-                                "::ingest: edge endpoint out of range");
+    if (opts_.wal_dir.empty()) return;
+    manifest_ = WalManifest{algebra_tag<P>(), static_cast<std::uint64_t>(n_),
+                            static_cast<std::uint32_t>(num_shards),
+                            static_cast<std::uint32_t>(opts_.weighting)};
+    util::ensure_dir(opts_.wal_dir);
+    std::uint64_t seqno = 0;
+    if (open == Open::kFresh) {
+      require_no_durable_state(opts_.wal_dir);
+    } else {
+      std::uint64_t start_epoch = 0;
+      if (auto ckpt =
+              load_newest_checkpoint<value_type>(opts_.wal_dir, manifest_)) {
+        start_epoch = ckpt->epoch;
+        for (std::size_t s = 0; s < num_shards; ++s) {
+          Ladder& lad = *ladders_[s];
+          util::MutexLock lock(lad.mu);
+          for (CheckpointRun<value_type>& r : ckpt->shards[s]) {
+            lad.runs.push_back(Run{std::move(r.csr), r.weight});
+          }
+          lad.stats.batches = ckpt->epoch;
+          lad.stats.edges = ckpt->edges[s];
+        }
       }
+      const WalReplayStats rstats = replay_wal(
+          opts_.wal_dir, manifest_, start_epoch,
+          [this](std::uint64_t, const std::vector<graph::Edge>& edges) {
+            // Injection site: one evaluation per replayed batch, so the
+            // sweep can kill recovery itself mid-replay and prove a
+            // second recover() of the same directory still succeeds.
+            I2A_FAILPOINT("recover.replay");
+            ingest(edges);
+          });
+      seqno = rstats.any_segment ? rstats.last_seqno + 1 : 0;
     }
+    wal_.emplace(opts_.wal_dir, manifest_, opts_.durability,
+                 opts_.wal_segment_bytes, seqno, current_epoch());
   }
 
-  /// The full publish path minus WAL append and checkpoint scheduling —
-  /// what replay feeds recorded batches through (logging them again
-  /// would duplicate frames).
-  void ingest_unlogged(std::span<const graph::Edge> batch) {
-    rethrow_pending_error();
-    validate_batch(batch, "AdjacencyBuilder");
-    Prepared prep = prepare_publish(stage(batch), batch.size());
-    commit_publish(std::move(prep));
-    maybe_backpressure();
-  }
-
-  /// Install a checkpoint's run list into an untouched ladder
-  /// (recovery only).
-  void restore_runs(std::vector<CheckpointRun<value_type>>&& runs,
-                    std::uint64_t epoch, std::uint64_t edges)
-      I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    I2A_EXPECTS(ladder_->runs.empty() && ladder_->stats.batches == 0,
-                "restore_runs: ladder already has state");
-    ladder_->runs.reserve(runs.size());
-    for (CheckpointRun<value_type>& r : runs) {
-      ladder_->runs.push_back(Run{std::move(r.csr), r.weight});
-    }
-    ladder_->stats.batches = epoch;
-    ladder_->stats.edges = edges;
+  /// The epoch: every ladder commits every batch, so ladder 0's batch
+  /// counter is the builder's.
+  std::uint64_t current_epoch() const {
+    const std::shared_ptr<Ladder>& lad = ladders_.front();
+    util::MutexLock lock(lad->mu);
+    return lad->stats.batches;
   }
 
   /// If a checkpoint boundary was just crossed and none is in flight,
-  /// pin the run list + counters under the lock and dispatch the
-  /// background checkpoint task. Failures surface through the
-  /// deferred-error queue (never synchronously from ingest): the batch
-  /// is already committed, so the strong-guarantee channel is closed —
-  /// same classification as a background-merge failure.
-  void maybe_checkpoint() I2A_EXCLUDES(ladder_->mu) {
-    if (!wal_ || checkpoint_every_ == 0) return;
+  /// pin every ladder's run list + counters and dispatch the background
+  /// checkpoint task. Writer-thread-only, so no commit can interleave
+  /// and every ladder is captured at the same epoch. Failures surface
+  /// through ladder 0's deferred-error queue (never synchronously from
+  /// ingest): the batch is already committed, so the strong-guarantee
+  /// channel is closed — same classification as a background-merge
+  /// failure.
+  void maybe_checkpoint() {
+    if (!wal_ || opts_.checkpoint_every == 0) return;
+    const std::shared_ptr<Ladder>& lad0 = ladders_.front();
     std::uint64_t epoch = 0;
-    std::uint64_t edges = 0;
-    std::vector<std::vector<CheckpointRun<value_type>>> shard_runs(1);
     {
-      util::MutexLock lock(ladder_->mu);
-      epoch = ladder_->stats.batches;
-      if (epoch == 0 || epoch % checkpoint_every_ != 0) return;
-      if (ladder_->checkpointing) return;  // one in flight; skip boundary
-      shard_runs[0].reserve(ladder_->runs.size());
-      for (const Run& r : ladder_->runs) {
-        shard_runs[0].push_back(CheckpointRun<value_type>{r.csr, r.weight});
-      }
-      edges = ladder_->stats.edges;
-      ladder_->checkpointing = true;  // the last fallible step was above
+      util::MutexLock lock(lad0->mu);
+      epoch = lad0->stats.batches;
+      if (epoch == 0 || epoch % opts_.checkpoint_every != 0) return;
+      if (lad0->checkpointing) return;  // one in flight; skip boundary
     }
-    dispatch_checkpoint(ladder_, pool_, wal_dir_, manifest_, epoch,
-                        std::move(shard_runs), {edges}, wal_->seqno());
+    const std::size_t k = ladders_.size();
+    std::vector<std::vector<CheckpointRun<value_type>>> shard_runs(k);
+    std::vector<std::uint64_t> edges(k, 0);
+    for (std::size_t s = 0; s < k; ++s) {
+      const std::shared_ptr<Ladder>& lad = ladders_[s];
+      util::MutexLock lock(lad->mu);
+      shard_runs[s].reserve(lad->runs.size());
+      for (const Run& r : lad->runs) {
+        shard_runs[s].push_back(CheckpointRun<value_type>{r.csr, r.weight});
+      }
+      edges[s] = lad->stats.edges;
+    }
+    {
+      util::MutexLock lock(lad0->mu);
+      lad0->checkpointing = true;  // the last fallible step was above
+    }
+    dispatch_checkpoint(lad0, opts_.pool, opts_.wal_dir, manifest_, epoch,
+                        std::move(shard_runs), std::move(edges),
+                        wal_->seqno());
   }
 
   /// Build and hand off the checkpoint task. `lad` must already hold
@@ -636,39 +683,42 @@ class AdjacencyBuilder {
     if (fallback) task();  // the task body delivers its own failures
   }
 
-  void rethrow_pending_error() I2A_EXCLUDES(ladder_->mu) {
-    std::exception_ptr err;
-    {
-      util::MutexLock lock(ladder_->mu);
-      err = pop_error_locked();
+  /// Pop and rethrow the oldest queued failure of the first ladder
+  /// holding one.
+  void rethrow_pending_error() const {
+    for (const auto& lad : ladders_) {
+      std::exception_ptr err;
+      {
+        util::MutexLock lock(lad->mu);
+        if (lad->errors.empty()) continue;
+        err = lad->errors.front();
+        lad->errors.erase(lad->errors.begin());
+      }
+      std::rethrow_exception(err);
     }
-    if (err) std::rethrow_exception(err);
   }
 
-  std::exception_ptr pop_error_locked() const I2A_REQUIRES(ladder_->mu) {
-    if (ladder_->errors.empty()) return nullptr;
-    std::exception_ptr err = ladder_->errors.front();
-    ladder_->errors.erase(ladder_->errors.begin());
-    return err;
+  /// Block until `lad` has no compaction or checkpoint in flight.
+  static void wait_settled_locked(const std::shared_ptr<Ladder>& lad)
+      I2A_REQUIRES(lad->mu) {
+    while (lad->compacting || lad->checkpointing) lad->cv.wait(lad->mu);
   }
 
-  /// Build a batch's delta adjacency — no ladder state is touched, so
-  /// staging runs lock-free (and `ShardedBuilder` stages every shard
-  /// before taking its publish lock). Returns nullptr for an empty batch
-  /// (the ⊕-identity contribution).
+  /// Build a ladder's share of a batch as a delta adjacency — no ladder
+  /// state is touched, so staging runs lock-free, for every ladder
+  /// before any commits. Returns nullptr for an empty share (the
+  /// ⊕-identity contribution).
   std::shared_ptr<const sparse::Csr<value_type>> stage(
-      std::span<const graph::Edge> batch) const {
-    if (batch.empty()) return nullptr;
+      const graph::Graph& g) const {
+    if (g.edges().empty()) return nullptr;
     // Injection site: the whole staging pipeline for a non-empty batch.
     // A fire here (or in the incidence/SpGEMM sites downstream) leaves
     // the ladder untouched — ingest's strong guarantee.
     I2A_FAILPOINT("builder.stage.batch");
-    graph::Graph g(n_);
-    g.edges().assign(batch.begin(), batch.end());
-    const auto inc = weighting_ == Weighting::kWeighted
-                         ? graph::weighted_incidence_arrays(g, p_, pool_)
-                         : graph::incidence_arrays(g, p_, pool_);
-    auto delta = graph::adjacency_array(p_, inc, algo_, pool_);
+    const auto inc = opts_.weighting == Weighting::kWeighted
+                         ? graph::weighted_incidence_arrays(g, p_, opts_.pool)
+                         : graph::incidence_arrays(g, p_, opts_.pool);
+    auto delta = graph::adjacency_array(p_, inc, opts_.algo, opts_.pool);
     I2A_ENSURES(delta.is_canonical(),
                 "AdjacencyBuilder: staged delta not canonical");
     return std::make_shared<const sparse::Csr<value_type>>(std::move(delta));
@@ -681,72 +731,78 @@ class AdjacencyBuilder {
   /// only reserves the capacity `commit_publish` will need, so the
   /// commit's push_back cannot throw.
   Prepared prepare_publish(
+      const std::shared_ptr<Ladder>& lad,
       std::shared_ptr<const sparse::Csr<value_type>> delta,
-      std::size_t batch_edges) I2A_EXCLUDES(ladder_->mu) {
+      std::size_t batch_edges) const I2A_EXCLUDES(lad->mu) {
     Prepared prep;
     prep.batch_edges = batch_edges;
     prep.delta_nnz = static_cast<std::uint64_t>(delta ? delta->nnz() : 0);
-    if (compaction_ == Compaction::kInline) {
+    if (opts_.compaction == Compaction::kInline) {
       prep.inline_mode = true;
       {
-        util::MutexLock lock(ladder_->mu);
-        prep.runs = ladder_->runs;
+        util::MutexLock lock(lad->mu);
+        prep.runs = lad->runs;
       }
       if (delta) prep.runs.push_back(Run{std::move(delta), 1});
       settle_runs(prep.runs, prep.compactions, prep.merged_entries);
     } else {
       prep.delta = std::move(delta);
-      util::MutexLock lock(ladder_->mu);
-      ladder_->runs.reserve(ladder_->runs.size() + 1);
+      util::MutexLock lock(lad->mu);
+      lad->runs.reserve(lad->runs.size() + 1);
       // One spare error slot, so a background task's failure report
       // cannot itself die on allocation in the common case.
-      ladder_->errors.reserve(ladder_->errors.size() + 1);
+      lad->errors.reserve(lad->errors.size() + 1);
     }
     return prep;
   }
 
   /// Phase 2 of a publish: consume a `Prepared` with no fallible step
   /// before the batch is committed. Inline mode is a splice + stat bumps
-  /// under the lock. Background mode appends the delta (capacity
-  /// reserved), bumps stats, then *tries* to schedule the compaction
-  /// task — a failed plan parks the chain (replanned on the next
-  /// publish) and a failed submit runs the task inline on this thread
-  /// (an absorbed degradation, counted in `backpressure_events`); in no
-  /// case does a scheduling failure un-ingest the batch.
+  /// under the ladder lock. Background mode appends the delta (capacity
+  /// reserved), bumps stats, then *tries* to plan the compaction task
+  /// and returns it for `submit_compaction` — a failed plan parks the
+  /// chain (replanned on the next publish); in no case does a
+  /// scheduling failure un-ingest the batch.
   // NOLINTNEXTLINE(bugprone-exception-escape): every fallible step ran
   // in prepare_publish (capacities reserved, merges settled on private
   // state); what remains is pointer splices, counter bumps, and the
-  // absorb boundaries documented in DESIGN.md §10. The lint rule
+  // absorb boundary documented in DESIGN.md §10. The lint rule
   // `commit-noexcept` (tools/lint/) enforces that commit-phase
   // functions keep this declaration.
-  void commit_publish(Prepared&& prep) noexcept I2A_EXCLUDES(ladder_->mu) {
+  std::function<void()> commit_publish(const std::shared_ptr<Ladder>& lad,
+                                       Prepared&& prep) noexcept
+      I2A_EXCLUDES(lad->mu) {
+    util::MutexLock lock(lad->mu);
     if (prep.inline_mode) {
-      util::MutexLock lock(ladder_->mu);
-      ladder_->runs = std::move(prep.runs);
-      ++ladder_->stats.batches;
-      ladder_->stats.edges += prep.batch_edges;
-      ladder_->stats.delta_entries += prep.delta_nnz;
-      ladder_->stats.compactions += prep.compactions;
-      ladder_->stats.merged_entries += prep.merged_entries;
-      return;
+      lad->runs = std::move(prep.runs);
+    } else if (prep.delta) {
+      lad->runs.push_back(Run{std::move(prep.delta), 1});
     }
-    std::function<void()> task;
-    {
-      util::MutexLock lock(ladder_->mu);
-      if (prep.delta) {
-        ladder_->runs.push_back(Run{std::move(prep.delta), 1});
-      }
-      ++ladder_->stats.batches;
-      ladder_->stats.edges += prep.batch_edges;
-      ladder_->stats.delta_entries += prep.delta_nnz;
-      try {
-        task = plan_task_locked(ladder_, pool_, p_);
-      } catch (...) {
-        // Planning allocates (group copy, std::function). On failure the
-        // token was never taken; the chain parks until the next publish
-        // replans. The batch itself is already committed.
-      }
+    ++lad->stats.batches;
+    lad->stats.edges += prep.batch_edges;
+    lad->stats.delta_entries += prep.delta_nnz;
+    lad->stats.compactions += prep.compactions;
+    lad->stats.merged_entries += prep.merged_entries;
+    if (prep.inline_mode) return nullptr;
+    try {
+      return plan_task_locked(lad, opts_.pool, p_);
+    } catch (...) {
+      // Planning allocates (group copy, std::function). On failure the
+      // token was never taken; the chain parks until the next publish
+      // replans. The batch itself is already committed.
+      return nullptr;
     }
+  }
+
+  /// Hand a planned compaction task to the pool; a failed submit runs
+  /// it inline on this thread instead (an absorbed degradation, counted
+  /// in `backpressure_events`).
+  // NOLINTNEXTLINE(bugprone-exception-escape): the submit and the
+  // fallback run are each caught; the task body reports its own
+  // failures through the error queue.
+  void submit_compaction(const std::shared_ptr<Ladder>& lad,
+                         std::function<void()>&& task) noexcept
+      I2A_EXCLUDES(lad->mu) {
     if (!task) return;
     bool fallback = false;
     try {
@@ -755,45 +811,46 @@ class AdjacencyBuilder {
       // it runs inline below instead.
       I2A_FAILPOINT("builder.background.submit");
       auto backup = task;  // submit may consume its argument even on throw
-      pool_->submit(std::move(backup));
+      opts_.pool->submit(std::move(backup));
     } catch (...) {
       fallback = true;
     }
     if (fallback) {
       {
-        util::MutexLock lock(ladder_->mu);
-        ++ladder_->stats.backpressure_events;
+        util::MutexLock lock(lad->mu);
+        ++lad->stats.backpressure_events;
       }
       try {
         task();  // the task body handles its own failures (error queue)
       } catch (...) {
         // Only reachable if the task's own failure *reporting* failed on
         // allocation (prepare reserves a slot to prevent exactly this);
-        // there is no channel left, and commit_publish is noexcept.
+        // there is no channel left, and this function is noexcept.
       }
     }
   }
 
   /// Post-publish backpressure (background mode with a bounded
-  /// `max_pending_merges` only): if the compaction debt exceeds the cap,
-  /// the writer stalls — every such stall is a `backpressure_events`
-  /// tick, the observable "the bound bit" signal. Usually waiting out
-  /// the in-flight task is enough (the chain replans as it splices); if
-  /// the debt is still over budget after the wait (parked chain,
-  /// cascade), claim the compaction token and settle the ladder on this
-  /// thread. A merge failure here is recorded in the deferred-error
-  /// queue (the batch is already consumed, so the strong-guarantee
-  /// channel is closed); the old run list stays.
-  void maybe_backpressure() I2A_EXCLUDES(ladder_->mu) {
-    if (compaction_ != Compaction::kBackground) return;
-    if (max_pending_merges_ == kUnboundedPendingMerges) return;
-    util::MutexLock lock(ladder_->mu);
-    if (pending_merges_locked() <= max_pending_merges_) return;
-    ++ladder_->stats.backpressure_events;
-    while (ladder_->compacting) ladder_->cv.wait(ladder_->mu);
-    if (pending_merges_locked() <= max_pending_merges_) return;
-    ladder_->compacting = true;
-    std::vector<Run> runs = ladder_->runs;
+  /// `max_pending_merges` only): if the ladder's compaction debt exceeds
+  /// the cap, the writer stalls — every such stall is a
+  /// `backpressure_events` tick, the observable "the bound bit" signal.
+  /// Usually waiting out the in-flight task is enough (the chain replans
+  /// as it splices); if the debt is still over budget after the wait
+  /// (parked chain, cascade), claim the compaction token and settle the
+  /// ladder on this thread. A merge failure here is recorded in the
+  /// deferred-error queue (the batch is already consumed, so the
+  /// strong-guarantee channel is closed); the old run list stays.
+  void maybe_backpressure(const std::shared_ptr<Ladder>& lad)
+      I2A_EXCLUDES(lad->mu) {
+    if (opts_.compaction != Compaction::kBackground) return;
+    if (opts_.max_pending_merges == kUnboundedPendingMerges) return;
+    util::MutexLock lock(lad->mu);
+    if (pending_merges_locked(lad) <= opts_.max_pending_merges) return;
+    ++lad->stats.backpressure_events;
+    while (lad->compacting) lad->cv.wait(lad->mu);
+    if (pending_merges_locked(lad) <= opts_.max_pending_merges) return;
+    lad->compacting = true;
+    std::vector<Run> runs = lad->runs;
     lock.unlock();
     std::uint64_t compactions = 0;
     std::uint64_t merged_entries = 0;
@@ -809,26 +866,27 @@ class AdjacencyBuilder {
     }
     lock.lock();
     if (!failure) {
-      ladder_->runs = std::move(runs);
-      ladder_->stats.compactions += compactions;
-      ladder_->stats.merged_entries += merged_entries;
+      lad->runs = std::move(runs);
+      lad->stats.compactions += compactions;
+      lad->stats.merged_entries += merged_entries;
     } else {
       // Partial settle progress is discarded (private copy); the failure
       // is delivered exactly once via drain()/the next ingest().
-      ladder_->errors.push_back(failure);
+      lad->errors.push_back(failure);
     }
-    ladder_->compacting = false;
+    lad->compacting = false;
     lock.unlock();
-    ladder_->cv.notify_all();
+    lad->cv.notify_all();
   }
 
-  /// How many merges the compaction policy still owes on the current run
+  /// How many merges the compaction policy still owes on a ladder's run
   /// list — simulated on the weights alone (no data touched). Caller
   /// holds the ladder lock.
-  std::size_t pending_merges_locked() const I2A_REQUIRES(ladder_->mu) {
+  static std::size_t pending_merges_locked(const std::shared_ptr<Ladder>& lad)
+      I2A_REQUIRES(lad->mu) {
     std::vector<std::uint64_t> w;
-    w.reserve(ladder_->runs.size());
-    for (const Run& r : ladder_->runs) w.push_back(r.weight);
+    w.reserve(lad->runs.size());
+    for (const Run& r : lad->runs) w.push_back(r.weight);
     std::size_t merges = 0;
     for (auto [lo, hi] = plan_suffix(w); hi > lo;
          std::tie(lo, hi) = plan_suffix(w)) {
@@ -842,12 +900,6 @@ class AdjacencyBuilder {
     return merges;
   }
 
-  auto add_fn() const {
-    return [p = p_](const value_type& x, const value_type& y) {
-      return p.add(x, y);
-    };
-  }
-
   /// Run the compaction policy to a fixed point on a private run list,
   /// accumulating stat deltas. Throws on merge failure (callers decide
   /// the delivery channel); the list is then mid-settle but private.
@@ -855,7 +907,7 @@ class AdjacencyBuilder {
                    std::uint64_t& merged_entries) const {
     for (auto [lo, hi] = plan_suffix(runs); hi > lo;
          std::tie(lo, hi) = plan_suffix(runs)) {
-      Run merged = merge_group(runs, lo, hi, p_, pool_);
+      Run merged = merge_group(runs, lo, hi, p_, opts_.pool);
       // Injection site: between a finished merge and its splice — the
       // point where a failure has already paid the merge cost but must
       // still not corrupt the published list.
@@ -999,18 +1051,19 @@ class AdjacencyBuilder {
 
   index_t n_;
   P p_;
-  Weighting weighting_;
-  sparse::SpGemmAlgo algo_;
-  util::ThreadPool* pool_;
-  Compaction compaction_;
-  std::size_t max_pending_merges_;
-  std::shared_ptr<Ladder> ladder_;
+  /// As given, except that background compaction without a pool has
+  /// degraded to inline.
+  Options opts_;
+  /// The coordination lock: orders (commit to every ladder) against
+  /// (pin / read every ladder), so snapshots and stats see every ladder
+  /// at one epoch. Always outermost — taken before any `Ladder::mu`,
+  /// never the reverse (DESIGN.md §11). Heap-held so the builder stays
+  /// movable.
+  std::unique_ptr<util::Mutex> mu_;
+  /// The shard ladders, indexed by `shard_of`.
+  std::vector<std::shared_ptr<Ladder>> ladders_;
   // Durability (inert unless wal_ is engaged; writer-thread-only, like
   // every other ingest-path member).
-  std::string wal_dir_;
-  Durability durability_ = Durability::kFsyncEachBatch;
-  std::uint64_t wal_segment_bytes_ = 64ULL << 20;
-  std::uint64_t checkpoint_every_ = 0;
   WalManifest manifest_;
   std::optional<Wal> wal_;
 };

@@ -6,7 +6,7 @@
 ///
 /// A checkpoint is one file, `checkpoint-<epoch>.ckpt`, holding a header
 /// frame (format version, epoch, manifest, total run count) followed by
-/// one frame per ladder run — shard-tagged, so a ShardedBuilder's
+/// one frame per ladder run — shard-tagged, so a sharded builder's
 /// per-shard ladders round-trip exactly. Every frame carries the usual
 /// CRC32C (util/io.hpp), and the file becomes visible atomically:
 /// written to a `.tmp` name, fsynced, renamed into place, parent

@@ -1,408 +1,21 @@
 #pragma once
 /// \file stream/sharded_builder.hpp
-/// \brief Shared-nothing row sharding over the streaming builder:
-///        hash-partition source vertices across N independent
-///        `AdjacencyBuilder` shards, serve one fused `PinnedSnapshot`.
+/// \brief `ShardedBuilder`: the row-sharded serving surface's name for
+///        the one streaming builder.
 ///
-/// Sharding by *source vertex* is exact for this workload, not an
-/// approximation: adjacency row i is the ⊕-fold of precisely the edges
-/// with src = i, so routing each edge to the shard that owns its source
-/// partitions the fold by row. Every shard builds over the full n × n
-/// shape (rows it doesn't own stay empty), which keeps run shapes
-/// conformant for the k-way merge; the fused snapshot is simply the
-/// concatenation of every shard's pinned run-list. Per row, all
-/// contributing runs come from the one shard that owns it and stay in
-/// batch-age order, so the fused snapshot is byte-identical to a
-/// single-builder snapshot and to a full rebuild — pinned per prefix by
-/// test_sharded_differential.
-///
-/// Shards share nothing on the hot path: each has its own ladder,
-/// mutex, and background compaction chain. The only cross-shard state
-/// is one coordination mutex making (publish to all shards) and (pin
-/// all shards) atomic with respect to each other, so a fused snapshot
-/// always covers the same batch prefix on every shard. Staging — the
-/// expensive incidence + SpGEMM work — happens for all shards *before*
-/// that mutex is taken; the critical section is N cheap run-list
-/// appends (background mode) or the ladder merges (inline mode).
-///
-/// The shard hash is a splitmix64-style finalizer over the vertex id,
-/// not `src % N`: generator vertex ids are dense, and real-world id
-/// schemes stripe (hubs at round numbers, region prefixes), so a plain
-/// modulus can systematically starve shards. The finalizer decorrelates
-/// shard choice from id structure at ~1 ns cost (DESIGN.md §9).
-///
-/// Exception safety: sharded ingest is **two-phase** and carries the
-/// same strong guarantee as the single builder (swept by
-/// tests/test_failpoints.cpp). Phase 1 *prepares* every shard — staging,
-/// and in inline mode the compaction merges, all on private state; any
-/// failure (a throwing ⊕, allocation, an armed failpoint) unwinds with
-/// no shard touched. Phase 2 *commits* every shard under the
-/// coordination mutex with `commit_publish`, which has no fallible step
-/// before the batch counts — so shard epochs can never tear: either all
-/// shards advance or none does. Background-merge failures follow the
-/// single-builder deferred-error rules, surfacing from `drain()` / the
-/// next `ingest()` (exactly once per failure) and peeking into
-/// `snapshot().pending_error()`.
-
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <span>
-#include <stdexcept>
-#include <string>
-#include <utility>
-#include <vector>
+/// Row sharding is a layout choice inside `AdjacencyBuilder` (see
+/// stream/adjacency_builder.hpp): its `(n, num_shards, p, opts)`
+/// constructor and `recover` overload build k ≥ 1 ladders, and the
+/// plain builder is k = 1. This alias keeps the sharded spelling for
+/// callers that name it, under the same `Semiring` constraint.
 
 #include "algebra/concepts.hpp"
-#include "core/types.hpp"
-#include "graph/graph.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/spgemm.hpp"
 #include "stream/adjacency_builder.hpp"
-#include "stream/checkpoint.hpp"
-#include "stream/pinned_snapshot.hpp"
-#include "stream/wal.hpp"
-#include "util/failpoint.hpp"
-#include "util/io.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace i2a::stream {
 
-/// N independent single-writer builders behind one writer-facing
-/// `ingest` and one reader-facing `snapshot`. Same thread contract as
-/// `AdjacencyBuilder`: ingest calls externally serialized, everything
-/// else callable from any thread concurrently.
 template <typename P>
   requires algebra::Semiring<P>
-class ShardedBuilder {
- public:
-  using value_type = typename P::value_type;
-  using Stats = typename AdjacencyBuilder<P>::Stats;
-
-  /// `max_pending_merges` is forwarded to every shard: each shard's
-  /// compaction debt is bounded independently (debt is per-ladder).
-  ShardedBuilder(index_t num_vertices, std::size_t num_shards, P p = P{},
-                 Weighting weighting = Weighting::kUnweighted,
-                 sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
-                 util::ThreadPool* pool = nullptr,
-                 Compaction compaction = Compaction::kInline,
-                 std::size_t max_pending_merges = kUnboundedPendingMerges)
-      : ShardedBuilder(num_vertices, num_shards, std::move(p),
-                       Options{weighting, algo, pool, compaction,
-                               max_pending_merges, {},
-                               Durability::kFsyncEachBatch, 64ULL << 20,
-                               0}) {}
-
-  /// Options-struct constructor — the durable entry point. The sharded
-  /// builder owns ONE WAL for the whole group (each shard gets
-  /// durability-stripped options): a batch is logged once, un-routed,
-  /// and the deterministic shard hash re-routes it identically on
-  /// replay. The manifest records the shard count, so recovery refuses
-  /// a directory written under a different sharding.
-  ShardedBuilder(index_t num_vertices, std::size_t num_shards, P p,
-                 const Options& opts)
-      : n_(num_vertices), p_(std::move(p)), wal_dir_(opts.wal_dir),
-        durability_(opts.durability),
-        wal_segment_bytes_(opts.wal_segment_bytes),
-        checkpoint_every_(opts.checkpoint_every) {
-    if (num_shards == 0) {
-      throw std::invalid_argument("ShardedBuilder: zero shards");
-    }
-    const Options shard_opts = opts.without_durability();
-    shards_.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      shards_.emplace_back(num_vertices, p_, shard_opts);
-    }
-    if (!wal_dir_.empty()) {
-      manifest_ = shards_.front().make_manifest(
-          static_cast<std::uint32_t>(num_shards));
-      util::ensure_dir(wal_dir_);
-      require_no_durable_state(wal_dir_);
-      wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                   /*seqno=*/0, /*start_epoch=*/0);
-    }
-  }
-
-  /// Rebuild a sharded builder from the durable state in
-  /// `opts.wal_dir` — same contract as `AdjacencyBuilder::recover`
-  /// (checkpoint + WAL-suffix replay, torn-tail repair, typed refusal
-  /// of mismatched manifests, idempotent). `num_shards` must match the
-  /// recorded manifest or recovery throws `RecoveryError`.
-  static ShardedBuilder recover(index_t num_vertices, std::size_t num_shards,
-                                P p, const Options& opts) {
-    return ShardedBuilder(RecoverTag{}, num_vertices, num_shards,
-                          std::move(p), opts);
-  }
-
-  ShardedBuilder(const ShardedBuilder&) = delete;
-  ShardedBuilder& operator=(const ShardedBuilder&) = delete;
-
-  index_t num_vertices() const { return n_; }
-  std::size_t num_shards() const { return shards_.size(); }
-
-  /// Which shard owns source vertex `src` (and adjacency row `src`).
-  std::size_t shard_of(index_t src) const {
-    return shard_index(src, shards_.size());
-  }
-
-  /// Route the batch's edges to their shards, stage and *prepare* every
-  /// shard's publish (no coordination lock; any failure unwinds with no
-  /// shard touched), then *commit* all shards under the coordination
-  /// mutex — a loop of noexcept steps, so concurrent snapshots never
-  /// observe a half-applied batch and shard epochs cannot tear. Every
-  /// shard ingests every batch — shards a batch sends no edges to
-  /// publish an empty delta — keeping all shard epochs in lockstep.
-  /// Backpressure (if configured) runs last, per shard, outside the
-  /// coordination mutex.
-  void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(mu_) {
-    ingest_impl(batch, /*log=*/true);
-  }
-
-  /// Edge-list convenience overload.
-  void ingest(const std::vector<graph::Edge>& batch) {
-    ingest(std::span<const graph::Edge>(batch.data(), batch.size()));
-  }
-
-  /// Pin every shard's run-list under the coordination mutex and fuse
-  /// them (shard order, oldest first within a shard) into one
-  /// `PinnedSnapshot`. Rows are disjoint across shards, so the fused
-  /// read paths fold each row from exactly its owning shard's runs —
-  /// byte-identical to the single-builder snapshot of the same prefix.
-  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(mu_) {
-    std::vector<std::shared_ptr<const sparse::Csr<value_type>>> fused;
-    std::uint64_t epoch = 0;
-    std::exception_ptr pending;
-    {
-      util::MutexLock lock(mu_);
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        PinnedSnapshot<P> pin = shards_[s].snapshot();
-        if (s == 0) epoch = pin.batches();
-        if (!pending && pin.pending_error()) pending = pin.pending_error();
-        const auto& handles = pin.run_handles();
-        fused.insert(fused.end(), handles.begin(), handles.end());
-      }
-    }
-    return PinnedSnapshot<P>(n_, p_, epoch, std::move(fused), pending);
-  }
-
-  /// Materialized fused adjacency (query-side fan-in: one k-way merge
-  /// across every shard's pinned runs).
-  sparse::Csr<value_type> adjacency() const {
-    return snapshot().materialize(pool());
-  }
-
-  /// Aggregate maintenance stats: batches is the shard-lockstep epoch;
-  /// the cost counters (including pending_merges and
-  /// backpressure_events) sum across shards; failpoints_hit is the
-  /// process-wide fire count (identical in every shard).
-  Stats stats() const {
-    Stats total;
-    bool first = true;
-    for (const auto& shard : shards_) {
-      const Stats s = shard.stats();
-      if (first) {
-        total.batches = s.batches;
-        first = false;
-      }
-      total.edges += s.edges;
-      total.compactions += s.compactions;
-      total.delta_entries += s.delta_entries;
-      total.merged_entries += s.merged_entries;
-      total.pending_merges += s.pending_merges;
-      total.backpressure_events += s.backpressure_events;
-      total.checkpoints += s.checkpoints;
-      total.failpoints_hit = s.failpoints_hit;
-    }
-    return total;
-  }
-
-  /// Wait for every shard's background compaction chain to settle, then
-  /// rethrow the first pending failure encountered (shard order). Every
-  /// shard is drained even when an early shard throws; each shard
-  /// reports at most one failure per drain call, so repeated drains (or
-  /// subsequent ingests) deliver any remaining queued failures —
-  /// exactly once each.
-  void drain() const {
-    std::exception_ptr first;
-    for (const auto& shard : shards_) {
-      try {
-        shard.drain();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-  }
-
- private:
-  /// Tag-dispatched recovery constructor (see `recover`): delegate with
-  /// durability stripped, restore the checkpoint into every shard,
-  /// replay the WAL suffix through the normal (un-logged) publish path,
-  /// attach a fresh segment. ShardedBuilder holds a util::Mutex
-  /// directly so it is not movable — the tag constructor plus prvalue
-  /// return in `recover` is what stands in for a move.
-  struct RecoverTag {};
-  ShardedBuilder(RecoverTag, index_t num_vertices, std::size_t num_shards,
-                 P p, const Options& opts)
-      : ShardedBuilder(num_vertices, num_shards, std::move(p),
-                       opts.without_durability()) {
-    if (opts.wal_dir.empty()) {
-      throw std::invalid_argument("ShardedBuilder::recover: empty wal_dir");
-    }
-    wal_dir_ = opts.wal_dir;
-    durability_ = opts.durability;
-    wal_segment_bytes_ = opts.wal_segment_bytes;
-    checkpoint_every_ = opts.checkpoint_every;
-    manifest_ = shards_.front().make_manifest(
-        static_cast<std::uint32_t>(num_shards));
-    util::ensure_dir(wal_dir_);
-    std::uint64_t start_epoch = 0;
-    if (auto ckpt =
-            load_newest_checkpoint<value_type>(wal_dir_, manifest_)) {
-      start_epoch = ckpt->epoch;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].restore_runs(std::move(ckpt->shards[s]), ckpt->epoch,
-                                ckpt->edges[s]);
-      }
-    }
-    const WalReplayStats rstats = replay_wal(
-        wal_dir_, manifest_, start_epoch,
-        [this](std::uint64_t, const std::vector<graph::Edge>& edges) {
-          // Injection site: shared with the single-builder recovery —
-          // one evaluation per replayed batch.
-          I2A_FAILPOINT("recover.replay");
-          ingest_impl(
-              std::span<const graph::Edge>(edges.data(), edges.size()),
-              /*log=*/false);
-        });
-    std::uint64_t epoch_now = 0;
-    {
-      util::MutexLock lock(mu_);
-      epoch_now = shards_.front().stats().batches;
-    }
-    wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                 rstats.any_segment ? rstats.last_seqno + 1 : 0, epoch_now);
-  }
-
-  /// The shared body of `ingest` (log = true) and recovery replay
-  /// (log = false): route, stage + prepare every shard, append the
-  /// un-routed batch to the WAL between prepare and commit (so a crash
-  /// mid-commit recovers the whole cross-shard batch — commit is
-  /// noexcept per shard, so once logging succeeded every shard
-  /// advances), commit all shards under the coordination mutex, then
-  /// checkpoint/backpressure.
-  void ingest_impl(std::span<const graph::Edge> batch, bool log)
-      I2A_EXCLUDES(mu_) {
-    for (auto& shard : shards_) shard.rethrow_pending_error();
-    for (const graph::Edge& e : batch) {
-      if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
-        throw std::out_of_range("ShardedBuilder::ingest: edge endpoint "
-                                "out of range");
-      }
-    }
-    const std::size_t k = shards_.size();
-    std::vector<std::vector<graph::Edge>> routed(k);
-    for (const graph::Edge& e : batch) {
-      routed[shard_index(e.src, k)].push_back(e);
-    }
-    // Phase 1: stage + prepare, all fallible work. Nothing is consumed
-    // until every shard has a Prepared in hand.
-    std::vector<typename AdjacencyBuilder<P>::Prepared> preps;
-    preps.reserve(k);
-    for (std::size_t s = 0; s < k; ++s) {
-      auto delta = shards_[s].stage(std::span<const graph::Edge>(
-          routed[s].data(), routed[s].size()));
-      preps.push_back(
-          shards_[s].prepare_publish(std::move(delta), routed[s].size()));
-    }
-    // The WAL append is the last fallible step: its strong guarantee
-    // (rollback on failure) extends the un-torn property across the
-    // log and the ladders together.
-    if (log && wal_) {
-      wal_->append(shards_.front().stats().batches + 1, batch);
-    }
-    // Phase 2: commit every shard — noexcept per shard — atomically with
-    // respect to fused snapshots.
-    {
-      util::MutexLock lock(mu_);
-      for (std::size_t s = 0; s < k; ++s) {
-        shards_[s].commit_publish(std::move(preps[s]));
-      }
-    }
-    if (log) maybe_checkpoint();
-    for (auto& shard : shards_) shard.maybe_backpressure();
-  }
-
-  /// Cross-shard checkpoint scheduling. The checkpoint token lives on
-  /// shard 0's ladder (`checkpointing` + its cv), so `drain()` and
-  /// every shard-0 teardown path wait on it with no extra machinery;
-  /// failures land in shard 0's deferred-error queue. The run lists of
-  /// all shards are pinned under the coordination mutex, which orders
-  /// the pin against publishes — every shard is captured at the same
-  /// epoch.
-  void maybe_checkpoint() I2A_EXCLUDES(mu_) {
-    if (!wal_ || checkpoint_every_ == 0) return;
-    using Builder = AdjacencyBuilder<P>;
-    const std::size_t k = shards_.size();
-    std::uint64_t epoch = 0;
-    std::vector<std::vector<CheckpointRun<value_type>>> shard_runs(k);
-    std::vector<std::uint64_t> edges(k, 0);
-    {
-      util::MutexLock lock(mu_);
-      auto& lad0 = *shards_.front().ladder_;
-      {
-        util::MutexLock l0(lad0.mu);
-        epoch = lad0.stats.batches;
-        if (epoch == 0 || epoch % checkpoint_every_ != 0) return;
-        if (lad0.checkpointing) return;  // one in flight; skip boundary
-      }
-      for (std::size_t s = 0; s < k; ++s) {
-        auto& lad = *shards_[s].ladder_;
-        util::MutexLock ls(lad.mu);
-        shard_runs[s].reserve(lad.runs.size());
-        for (const auto& r : lad.runs) {
-          shard_runs[s].push_back(CheckpointRun<value_type>{r.csr, r.weight});
-        }
-        edges[s] = lad.stats.edges;
-      }
-      util::MutexLock l0(lad0.mu);
-      lad0.checkpointing = true;  // the last fallible step was above
-    }
-    Builder::dispatch_checkpoint(shards_.front().ladder_, pool(), wal_dir_,
-                                 manifest_, epoch, std::move(shard_runs),
-                                 std::move(edges), wal_->seqno());
-  }
-  static std::size_t shard_index(index_t src, std::size_t shards) {
-    auto x = static_cast<std::uint64_t>(src);
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % static_cast<std::uint64_t>(shards));
-  }
-
-  util::ThreadPool* pool() const {
-    return shards_.empty() ? nullptr : shards_.front().pool_;
-  }
-
-  index_t n_;
-  P p_;
-  /// Orders (publish-to-all) against (pin-all): a fused snapshot always
-  /// sees every shard at the same epoch. The per-shard ladders are
-  /// guarded by their own mutexes (see AdjacencyBuilder::Ladder); this
-  /// capability only sequences the two cross-shard composites, so it is
-  /// always the outermost lock (DESIGN.md §11).
-  mutable util::Mutex mu_;
-  std::vector<AdjacencyBuilder<P>> shards_;
-  // Durability (inert unless wal_ is engaged; writer-thread-only).
-  std::string wal_dir_;
-  Durability durability_ = Durability::kFsyncEachBatch;
-  std::uint64_t wal_segment_bytes_ = 64ULL << 20;
-  std::uint64_t checkpoint_every_ = 0;
-  WalManifest manifest_;
-  std::optional<Wal> wal_;
-};
+using ShardedBuilder = AdjacencyBuilder<P>;
 
 }  // namespace i2a::stream

@@ -244,8 +244,8 @@ class FailpointRegistry {
     return out;
   }
 
-  /// Total fires across all sites since process start — the
-  /// `failpoints_hit` stream stat.
+  /// Total fires across all sites since process start (see
+  /// `failpoints_fired_total`).
   std::uint64_t fired() const I2A_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return fired_;
@@ -313,8 +313,8 @@ class ScopedFailpoint {
   FailpointRegistry::ArmedState prior_;
 };
 
-/// Snapshot of the global fire counter for stats plumbing; 0 when
-/// failpoints are compiled out (so StreamStats::failpoints_hit is
+/// Snapshot of the global fire counter — the process-wide injected-
+/// failure count; 0 when failpoints are compiled out (so the count is
 /// meaningful — and zero — in production builds).
 inline std::uint64_t failpoints_fired_total() {
 #if I2A_FAILPOINTS_ENABLED

@@ -9,6 +9,6 @@
 
 int main() {
   i2a::stream::AdjacencyBuilder<i2a::algebra::MaxPlusNonNeg<double>> builder(
-      4, i2a::algebra::MaxPlusNonNeg<double>{});
+      4, i2a::algebra::MaxPlusNonNeg<double>{}, i2a::stream::Options{});
   return builder.num_vertices() == 4 ? 0 : 1;
 }

@@ -16,8 +16,8 @@ int main() {
   const auto m = i2a::sparse::merge(p, c, c);
   // Same shape as sharded_rejects_non_semiring, conforming pair: the
   // sharded serving surface must be nameable and snapshot-servable.
-  i2a::stream::ShardedBuilder<i2a::algebra::PlusTimes<double>> sharded(4, 2,
-                                                                       p);
+  i2a::stream::ShardedBuilder<i2a::algebra::PlusTimes<double>> sharded(
+      4, 2, p, i2a::stream::Options{});
   const auto snap = sharded.snapshot();
   return m.nnz() == 1 && snap.materialize().nnz() == 0 ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // Negative thread-safety case: calling an `I2A_REQUIRES(mu)` function
 // without holding `mu`. Under Clang `-Wthread-safety
 // -Werror=thread-safety` this TU must be REJECTED — the REQUIRES
-// contract is what keeps `pop_error_locked` / `pending_merges_locked` /
+// contract is what keeps `wait_settled_locked` / `pending_merges_locked` /
 // `plan_task_locked` callable only from locked scopes, so a compiling
 // version of this file means those contracts are unenforced. Checked at
 // configure time by tests/CMakeLists.txt, Clang configurations only.

@@ -218,7 +218,7 @@ void test_clean_paths_stay_quiet() {
   const auto m = sparse::merge(p, a, a);
   CHECK_EQ(m.at(0, 1, 0.0), 2.0 * a.at(0, 1, 0.0));
 
-  stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(4, p);
+  stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(4, p, {});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 1.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 1.0}});  // forces a carry
   builder.ingest(std::vector<graph::Edge>{{2, 3, 1.0}});

@@ -441,6 +441,49 @@ void test_sharded_recover() {
   CHECK(csr_bitwise_equal(r.adjacency(), extended_oracle));
 }
 
+/// The format identity the one-ladder builder relies on: whichever
+/// spelling wrote a directory — `AdjacencyBuilder(n, p, …)` or
+/// `ShardedBuilder(n, 1, p, …)` — the files on disk are byte-identical
+/// (manifest shard count 1, WAL frames, checkpoint layout), and each
+/// spelling recovers the other's directory to the rebuild oracle.
+void test_single_shard_format_identity() {
+  TempDir td;
+  const auto batches = trial_batches(57);
+  const auto opts = [&](const std::string& dir) {
+    Options o = durable_opts(dir);
+    o.checkpoint_every = 4;  // no pool: checkpoints land inline
+    return o;
+  };
+  const std::string single = td.path + "/single";
+  const std::string sharded = td.path + "/sharded";
+  {
+    Builder b(kN, PT{}, opts(single));
+    for (const auto& batch : batches) b.ingest(batch);
+    CHECK(b.stats().checkpoints > 0);
+  }
+  {
+    Sharded sb(kN, 1, PT{}, opts(sharded));
+    for (const auto& batch : batches) sb.ingest(batch);
+  }
+  const auto names = util::list_dir(single);
+  CHECK(names == util::list_dir(sharded));
+  for (const std::string& name : names) {
+    CHECK(util::read_file(single + "/" + name) ==
+          util::read_file(sharded + "/" + name));
+  }
+  const auto oracle = oracle_prefix(kN, batches, batches.size());
+  {
+    Sharded r = Sharded::recover(kN, 1, PT{}, durable_opts(single));
+    CHECK_EQ(r.stats().batches, batches.size());
+    CHECK(csr_bitwise_equal(r.adjacency(), oracle));
+  }
+  {
+    Builder r = Builder::recover(kN, PT{}, durable_opts(sharded));
+    CHECK_EQ(r.stats().batches, batches.size());
+    CHECK(csr_bitwise_equal(r.adjacency(), oracle));
+  }
+}
+
 void test_manifest_refusals() {
   TempDir td;
   const auto batches = trial_batches(61);
@@ -1041,6 +1084,7 @@ int main(int argc, char** argv) {
   test_recover_empty_dir_is_fresh();
   test_recover_with_checkpoint();
   test_sharded_recover();
+  test_single_shard_format_identity();
   test_manifest_refusals();
   test_corruption_truncation_matrix();
   test_corruption_sealed_segment_is_refused();

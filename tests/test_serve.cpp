@@ -19,6 +19,7 @@
 /// a regrouping or fold-order divergence surfaces as a byte diff, never
 /// as reassociation noise.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -95,11 +96,20 @@ struct Observed {
   std::vector<index_t> bfs;         ///< lock-free fold_row BFS from 0
 };
 
+/// What the stats poller records per `stats()` call: two counters that
+/// must describe one and the same epoch.
+struct StatsRead {
+  std::uint64_t batches = 0;
+  std::uint64_t edges = 0;
+};
+
 /// One configuration: this thread writes every batch while `readers`
 /// threads pin/materialize/traverse snapshots continuously, then the
 /// main thread replays every observation against the prefix oracles.
-/// Works identically for `AdjacencyBuilder` and `ShardedBuilder` — the
-/// serving surface (ingest/snapshot/drain/adjacency) is shared.
+/// One more thread polls `stats()` throughout: every read must pair its
+/// `batches` with exactly that prefix's edge count (no torn read across
+/// ladders), and `batches` never goes backwards. Works identically for
+/// k = 1 and k = 4 ladders — the serving surface is shared.
 template <typename P, typename Builder>
 void run_serve_config(const P& p, Builder& builder,
                       const std::vector<graph::Edge>& edges, std::size_t batch,
@@ -107,8 +117,16 @@ void run_serve_config(const P& p, Builder& builder,
                       std::size_t readers) {
   std::atomic<bool> done{false};
   std::vector<std::vector<Observed>> observed(readers);
+  std::vector<StatsRead> stats_reads;
   std::vector<std::thread> pinners;
-  pinners.reserve(readers);
+  pinners.reserve(readers + 1);
+  pinners.emplace_back([&] {
+    do {
+      const auto st = builder.stats();
+      stats_reads.push_back({st.batches, st.edges});
+      std::this_thread::yield();
+    } while (!done.load());
+  });
   for (std::size_t t = 0; t < readers; ++t) {
     pinners.emplace_back([&, t] {
       do {
@@ -143,6 +161,16 @@ void run_serve_config(const P& p, Builder& builder,
       CHECK(o.bfs == graph::bfs_levels(oracle, index_t{0}, p.zero()));
     }
   }
+  CHECK(!stats_reads.empty());
+  std::uint64_t prev_batches = 0;
+  for (const StatsRead& r : stats_reads) {
+    CHECK(r.batches >= prev_batches);
+    prev_batches = r.batches;
+    CHECK(r.batches <= max_k);
+    const std::uint64_t prefix_edges =
+        std::min<std::uint64_t>(r.batches * batch, edges.size());
+    CHECK_EQ(r.edges, prefix_edges);
+  }
   CHECK(csr_bitwise_equal(builder.adjacency(), oracles.back()));
   CHECK_EQ(builder.stats().edges, edges.size());
 }
@@ -164,15 +192,15 @@ void sweep_algebra(const P& p, stream::Weighting weighting, const char* name,
                   name, threads, shards,
                   static_cast<unsigned long long>(seed));
       util::ThreadPool pool(threads);
+      const stream::Options opts{
+          .weighting = weighting,
+          .pool = &pool,
+          .compaction = stream::Compaction::kBackground};
       if (shards == 1) {
-        stream::AdjacencyBuilder<P> builder(
-            n, p, weighting, sparse::SpGemmAlgo::kAuto, &pool,
-            stream::Compaction::kBackground);
+        stream::AdjacencyBuilder<P> builder(n, p, opts);
         run_serve_config(p, builder, g.edges(), batch, oracles, readers);
       } else {
-        stream::ShardedBuilder<P> builder(
-            n, shards, p, weighting, sparse::SpGemmAlgo::kAuto, &pool,
-            stream::Compaction::kBackground);
+        stream::ShardedBuilder<P> builder(n, shards, p, opts);
         run_serve_config(p, builder, g.edges(), batch, oracles, readers);
       }
     }

@@ -80,12 +80,10 @@ void run_prefix_differential(const P& p, stream::Weighting weighting,
                              const graph::Graph& g, std::size_t batch,
                              std::size_t shards, util::ThreadPool* pool,
                              stream::Compaction compaction) {
-  stream::ShardedBuilder<P> sharded(g.num_vertices(), shards, p, weighting,
-                                    sparse::SpGemmAlgo::kAuto, pool,
-                                    compaction);
-  stream::AdjacencyBuilder<P> single(g.num_vertices(), p, weighting,
-                                     sparse::SpGemmAlgo::kAuto, pool,
-                                     compaction);
+  const stream::Options opts{
+      .weighting = weighting, .pool = pool, .compaction = compaction};
+  stream::ShardedBuilder<P> sharded(g.num_vertices(), shards, p, opts);
+  stream::AdjacencyBuilder<P> single(g.num_vertices(), p, opts);
   const auto& edges = g.edges();
   graph::Graph prefix(g.num_vertices());
   for (std::size_t lo = 0; lo < edges.size(); lo += batch) {
@@ -163,14 +161,14 @@ void test_sharded_empty_batches_and_validation() {
   const algebra::PlusTimes<double> p;
   bool threw = false;
   try {
-    stream::ShardedBuilder<algebra::PlusTimes<double>> zero(8, 0, p);
+    stream::ShardedBuilder<algebra::PlusTimes<double>> zero(8, 0, p, {});
     (void)zero;
   } catch (const std::invalid_argument&) {
     threw = true;
   }
   CHECK(threw);
 
-  stream::ShardedBuilder<algebra::PlusTimes<double>> b(8, 4, p);
+  stream::ShardedBuilder<algebra::PlusTimes<double>> b(8, 4, p, {});
   b.ingest(std::vector<graph::Edge>{});  // epochs advance in lockstep
   CHECK_EQ(b.stats().batches, 1u);
   CHECK_EQ(b.adjacency().nnz(), 0);

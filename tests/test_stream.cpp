@@ -58,8 +58,8 @@ void run_differential(const P& p, stream::Weighting weighting,
                       const graph::Graph& g, index_t batch_size,
                       util::ThreadPool* pool,
                       const sparse::Csr<typename P::value_type>& oracle) {
-  stream::AdjacencyBuilder<P> builder(g.num_vertices(), p, weighting,
-                                      sparse::SpGemmAlgo::kAuto, pool);
+  stream::AdjacencyBuilder<P> builder(
+      g.num_vertices(), p, {.weighting = weighting, .pool = pool});
   const auto& edges = g.edges();
   for (std::size_t lo = 0; lo < edges.size();
        lo += static_cast<std::size_t>(batch_size)) {
@@ -117,8 +117,8 @@ void test_prefix_snapshots() {
   const algebra::MinPlus<double> p;
   util::ThreadPool pool(4);
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      g.num_vertices(), p, stream::Weighting::kWeighted,
-      sparse::SpGemmAlgo::kAuto, &pool);
+      g.num_vertices(), p,
+      {.weighting = stream::Weighting::kWeighted, .pool = &pool});
   const auto& edges = g.edges();
   const std::size_t batch = 37;
   graph::Graph prefix(g.num_vertices());
@@ -136,7 +136,7 @@ void test_prefix_snapshots() {
 
 void test_empty_and_tiny_batches() {
   const algebra::PlusTimes<double> p;
-  stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(5, p);
+  stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(5, p, {});
   // Snapshot before any ingest: the all-n empty adjacency.
   const auto empty = builder.adjacency();
   CHECK_EQ(empty.nrows(), 5);
@@ -159,7 +159,7 @@ void test_empty_and_tiny_batches() {
 
 void test_ingest_validation() {
   const algebra::PlusTimes<double> p;
-  stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(3, p);
+  stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(3, p, {});
   builder.ingest(std::vector<graph::Edge>{{0, 2, 1.0}});
   const auto before = builder.adjacency();
   const auto stats_before = builder.stats();
@@ -192,7 +192,8 @@ void test_stats_untouched_when_merge_throws() {
     double add(double, double) const { throw Boom{}; }
     double mul(double a, double b) const { return a * b; }
   };
-  stream::AdjacencyBuilder<ThrowingPlusTimes> builder(3, ThrowingPlusTimes{});
+  stream::AdjacencyBuilder<ThrowingPlusTimes> builder(3, ThrowingPlusTimes{},
+                                                      {});
   // Batch 1 lands at level 0 without ⊕ ever firing (distinct edges, no
   // compaction).
   builder.ingest(std::vector<graph::Edge>{{0, 1, 1.0}});
@@ -217,7 +218,7 @@ void test_self_loops_and_parallel_edges_stream() {
   // must land on the diagonal.
   const algebra::MinPlus<double> p;
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      4, p, stream::Weighting::kWeighted);
+      4, p, {.weighting = stream::Weighting::kWeighted});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 5.0}, {2, 2, 1.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 3.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 8.0}});
@@ -259,8 +260,8 @@ void test_concurrent_ingest_snapshot() {
 
   util::ThreadPool pool(4);
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      g.num_vertices(), p, stream::Weighting::kWeighted,
-      sparse::SpGemmAlgo::kAuto, &pool);
+      g.num_vertices(), p,
+      {.weighting = stream::Weighting::kWeighted, .pool = &pool});
   std::mutex mu;            // orders every builder call
   std::size_t batches_done = 0;  // guarded by mu
   std::atomic<bool> done{false};

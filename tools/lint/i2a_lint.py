@@ -35,9 +35,7 @@ convention and reviewed like a NOLINT.
 
 The engine is lexical (comments and string literals are blanked before
 matching), so it runs anywhere python3 does — no clang needed, nothing
-to build. `tools/lint/queries/` holds clang-query twins for the rules
-expressible as AST matchers; `--clang-query` runs them informationally
-against compile_commands.json when the tool exists (see README.md).
+to build.
 
 Usage:
   i2a_lint.py --root <repo>     lint include/i2a under <repo> (exit 1 on
@@ -51,7 +49,6 @@ Usage:
 import argparse
 import os
 import re
-import subprocess
 import sys
 
 RULES = (
@@ -436,47 +433,6 @@ def collect_tree_files(root):
     return sorted(files)
 
 
-def run_clang_query(root, files):
-    """Informational semantic cross-check: run every matcher in
-    tools/lint/queries/ via clang-query against the compilation database
-    when both exist. Never affects the exit code — the lexical engine is
-    the source of truth (it needs no toolchain and covers all 4 rules;
-    the matchers cover the 2 that are AST-expressible)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    query_dir = os.path.join(here, "queries")
-    ccdb = os.path.join(root, "compile_commands.json")
-    queries = sorted(
-        os.path.join(query_dir, q) for q in os.listdir(query_dir)
-        if q.endswith(".query")) if os.path.isdir(query_dir) else []
-    if not queries:
-        return
-    tool = None
-    for cand in ("clang-query", "clang-query-18", "clang-query-17",
-                 "clang-query-16", "clang-query-15"):
-        try:
-            subprocess.run([cand, "--version"], capture_output=True,
-                           check=False)
-            tool = cand
-            break
-        except FileNotFoundError:
-            continue
-    if tool is None or not os.path.exists(ccdb):
-        print("i2a-lint: clang-query pass skipped "
-              f"(tool={'found' if tool else 'missing'}, "
-              f"compile_commands.json={'found' if os.path.exists(ccdb) else 'missing'})")
-        return
-    # The headers are not TUs; query the all-headers hygiene TU, which
-    # includes the complete public surface.
-    tu = os.path.join(root, "tools", "all_headers.cpp")
-    for query in queries:
-        print(f"i2a-lint: clang-query {os.path.basename(query)}")
-        proc = subprocess.run([tool, "-p", ccdb, "-f", query, tu],
-                              capture_output=True, text=True, check=False)
-        sys.stdout.write(proc.stdout)
-        if proc.returncode != 0:
-            sys.stdout.write(proc.stderr)
-
-
 def self_test():
     """Fixtures ship a known violation set; the engine must report
     exactly that set — a missed seeded violation means a rule stopped
@@ -555,8 +511,6 @@ def main():
     ap.add_argument("--root", help="repository root (lints include/i2a)")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the rules against tools/lint/fixtures/")
-    ap.add_argument("--clang-query", action="store_true",
-                    help="also run the clang-query matchers (informational)")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("files", nargs="*", help="specific files to lint")
     args = ap.parse_args()
@@ -593,8 +547,6 @@ def main():
         print(v)
     if not violations:
         print(f"i2a-lint: {len(files)} files, 0 violations")
-    if args.clang_query:
-        run_clang_query(root, files)
     return 1 if violations else 0
 
 
