@@ -18,14 +18,24 @@
 /// the old `Coo` + `from_coo` path paid is pure waste on this structure.
 /// The bytes produced are identical to the old path's (and pool-size
 /// independent: edge e always lands at slot e).
+///
+/// `fold_adjacency` is the same construction without the product: one
+/// nonzero per incidence row reduces A(i,j) to a fold over the edges
+/// (i,j), computed in O(m log m) into a `HyperCsr` that stores only the
+/// touched rows — the streaming builder's staging step. Both paths take
+/// their entries from the shared draws (`unweighted_draw`,
+/// `weighted_draw`), and `test_staging` holds them to the same bytes.
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "algebra/concepts.hpp"
 #include "graph/graph.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/hypercsr.hpp"
 #include "sparse/spgemm.hpp"
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
@@ -88,36 +98,116 @@ IncidencePair<T> incidence_arrays_with(const Graph& g, Draw&& draw,
   return inc;
 }
 
-/// Unweighted incidence arrays: every incidence entry is 1, as in the
-/// paper's unweighted figures. (1 is distinct from the zero element of
-/// all seven Table I pairs, so the theorem's hypothesis holds.)
+/// The unweighted incidence draw: every entry is 1, as in the paper's
+/// unweighted figures. (1 is distinct from the zero element of all seven
+/// Table I pairs, so the theorem's hypothesis holds.) Shared by
+/// `incidence_arrays` and the direct fold, so both see the same values.
+template <typename P>
+auto unweighted_draw(const P&) {
+  using T = typename P::value_type;
+  return [](index_t, bool) { return T(1); };
+}
+
+/// The weighted incidence draw over `edges`: Ein carries the edge
+/// weight, Eout carries the multiplicative identity, so each edge
+/// contributes exactly its weight to the fold — A(i,j) = ⊕ over parallel
+/// edges of w(e). This is what makes min.+ adjacency arrays directly
+/// usable for SSSP/APSP. Borrows `p` and the edges.
+template <typename P>
+auto weighted_draw(const P& p, std::span<const Edge> edges) {
+  using T = typename P::value_type;
+  return [&p, edges](index_t e, bool is_out) {
+    return is_out ? p.one()
+                  : static_cast<T>(edges[static_cast<std::size_t>(e)].weight);
+  };
+}
+
+/// Unweighted incidence arrays (`unweighted_draw`).
 template <typename P>
   requires algebra::Semiring<P>
 IncidencePair<typename P::value_type> incidence_arrays(
-    const Graph& g, const P&, util::ThreadPool* pool = nullptr) {
+    const Graph& g, const P& p, util::ThreadPool* pool = nullptr) {
   using T = typename P::value_type;
-  return incidence_arrays_with<T>(
-      g, [](index_t, bool) { return T(1); }, pool);
+  return incidence_arrays_with<T>(g, unweighted_draw(p), pool);
 }
 
-/// Weighted incidence arrays: Ein carries the edge weight, Eout carries
-/// the multiplicative identity, so each edge contributes exactly its
-/// weight to the fold — A(i,j) = ⊕ over parallel edges of w(e). This is
-/// what makes min.+ adjacency arrays directly usable for SSSP/APSP.
+/// Weighted incidence arrays (`weighted_draw`).
 template <typename P>
   requires algebra::Semiring<P>
 IncidencePair<typename P::value_type> weighted_incidence_arrays(
     const Graph& g, const P& p, util::ThreadPool* pool = nullptr) {
   using T = typename P::value_type;
-  const auto& edges = g.edges();
   return incidence_arrays_with<T>(
-      g,
-      [&](index_t e, bool is_out) {
-        return is_out
-                   ? p.one()
-                   : static_cast<T>(edges[static_cast<std::size_t>(e)].weight);
-      },
-      pool);
+      g, weighted_draw(p, std::span<const Edge>(g.edges())), pool);
+}
+
+/// Theorem II.1 evaluated edge by edge, with no product. Row e of Eout
+/// and of Ein each hold one nonzero, so
+///
+///   A(i, j) = ⊕ over edges e with (src, dst) = (i, j) of
+///             Eout(e, i) ⊗ Ein(e, j).
+///
+/// Stable-order the edges by (src, dst), take each group's first term
+/// as is and fold later terms left, `acc = p.add(acc, term)`, in edge
+/// order — the order every SpGEMM kernel folds a row's parallel edges in
+/// (`gustavson_scatter`, the hash accumulator, `heap_merge_row`'s
+/// stream-ordered ties). The bytes therefore equal
+/// `adjacency_array(p, incidence_arrays_with(g, draw))`, FP ⊕ included,
+/// while the cost is O(m log m) in the m edges: nothing scales with the
+/// n × n shape, and the result stores only the rows the edges touch.
+/// `draw` is the incidence draw (`unweighted_draw` / `weighted_draw`),
+/// indexed by position in `edges`. Endpoints must lie in [0, n).
+template <typename P, typename Draw>
+  requires algebra::Semiring<P>
+sparse::HyperCsr<typename P::value_type> fold_adjacency(
+    const P& p, std::span<const Edge> edges, index_t n, const Draw& draw) {
+  using T = typename P::value_type;
+  // Injection site: the fold's order and output allocations. A fire
+  // produces nothing — the caller's edges are untouched.
+  I2A_FAILPOINT("incidence.fold.alloc");
+  // (src, dst, edge) keys, sorted: equal (src, dst) keep edge order,
+  // exactly a stable sort by (src, dst), with no indirection per
+  // comparison.
+  struct Key {
+    index_t src, dst, e;
+    bool operator<(const Key& o) const {
+      if (src != o.src) return src < o.src;
+      return dst != o.dst ? dst < o.dst : e < o.e;
+    }
+  };
+  std::vector<Key> keys(edges.size());
+  for (std::size_t e = 0; e < keys.size(); ++e) {
+    keys[e] = Key{edges[e].src, edges[e].dst, static_cast<index_t>(e)};
+    assert(keys[e].src >= 0 && keys[e].src < n && keys[e].dst >= 0 &&
+           keys[e].dst < n);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<index_t> row_ids;
+  std::vector<index_t> row_ptr;
+  std::vector<index_t> cols;
+  std::vector<T> vals;
+  cols.reserve(edges.size());
+  vals.reserve(edges.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const Key& key = keys[k];
+    const T term = p.mul(draw(key.e, true), draw(key.e, false));
+    if (k > 0 && keys[k - 1].src == key.src && keys[k - 1].dst == key.dst) {
+      vals.back() = p.add(vals.back(), term);
+      continue;
+    }
+    if (row_ids.empty() || row_ids.back() != key.src) {
+      row_ids.push_back(key.src);
+      row_ptr.push_back(static_cast<index_t>(cols.size()));
+    }
+    cols.push_back(key.dst);
+    vals.push_back(term);
+  }
+  row_ptr.push_back(static_cast<index_t>(cols.size()));
+  auto out = sparse::HyperCsr<T>::from_rows(n, n, std::move(row_ids),
+                                            std::move(row_ptr),
+                                            std::move(cols), std::move(vals));
+  I2A_ENSURES(out.is_canonical(), "fold_adjacency: non-canonical result");
+  return out;
 }
 
 /// Prebuilt CSC views over both incidence arrays: the fused AᵀB engine

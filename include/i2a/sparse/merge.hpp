@@ -1,7 +1,7 @@
 #pragma once
 /// \file sparse/merge.hpp
-/// \brief Parallel semiring CSR ⊕-merge: fold k same-shape CSR arrays
-///        into one, entrywise, with the caller's ⊕ — the kernel behind
+/// \brief Parallel semiring ⊕-merge: fold k same-shape sparse runs into
+///        one, entrywise, with the caller's ⊕ — the kernel behind
 ///        streaming adjacency maintenance (stream/adjacency_builder.hpp).
 ///
 /// The GraphBLAS framing (Kepner et al., 1606.05790) treats a sparse
@@ -13,26 +13,32 @@
 /// same as folding everything at once. The merge itself never needs ⊗:
 /// each input row is already a folded adjacency row, so only ⊕ appears.
 ///
-/// Engine shape — the same two-pass scheme as the SpGEMM and assembly
-/// engines (sparse/spgemm.hpp, sparse/csr.hpp):
+/// One engine, over `HyperCsr` runs (sparse/hypercsr.hpp), so its cost
+/// tracks the runs' stored rows, not the row space:
 ///
-///   1. **count** — row chunks walk the k sorted input rows with a
-///      cursor frontier (chunk-id-indexed scratch reused across both
-///      passes via `ThreadPool::parallel_for_chunks`) and record each
-///      output row's merged size;
-///   2. **stitch** — one serial prefix sum turns the counts into the
-///      final row pointer;
-///   3. **scatter + fold** — the same chunk decomposition re-walks the
-///      cursors and writes every merged entry straight into its final
-///      slot, folding equal columns with ⊕ in *run order* (runs[0]
-///      first). Run order is how callers encode batch age, which is what
-///      keeps a non-commutative or FP ⊕ bitwise-reproducible.
+///   0. **row space** — the sorted union of the runs' non-empty rows
+///      (or every row, when some run is dense: its stored rows are then
+///      already a fixed share of them);
+///   1. **count** — chunks of that row list walk each run with a
+///      monotone slot cursor and the k sorted column streams of a row
+///      with a cursor frontier (chunk-id-indexed scratch reused across
+///      both passes via `ThreadPool::parallel_for_chunks`), recording
+///      each output row's merged size;
+///   2. **stitch** — one serial prefix sum sizes the output;
+///   3. **scatter + fold** — the same chunks re-walk the cursors and
+///      write every merged entry straight into its final slot, folding
+///      equal columns with ⊕ in *run order* (runs[0] first). Run order
+///      is how callers encode batch age, which is what keeps a
+///      non-commutative or FP ⊕ bitwise-reproducible.
 ///
-/// Every row lands at a prefix-sum-determined offset and each row's
-/// merge is independent and deterministic, so the output is
-/// byte-identical across pool sizes (serial included). Exceptions thrown
-/// by ⊕ in a worker chunk propagate to the caller (the pool captures and
-/// rethrows the first one); the partially built output is discarded.
+/// The single-row fold a snapshot reader runs (`merge_row_k`) is the
+/// same frontier, fed by a per-run row lookup; the `Csr` overloads
+/// convert in, merge here and convert out. Every row lands at a
+/// prefix-sum-determined offset and each row's merge is independent and
+/// deterministic, so the output is byte-identical across pool sizes
+/// (serial included). Exceptions thrown by ⊕ in a worker chunk
+/// propagate to the caller (the pool captures and rethrows the first
+/// one); the partially built output is discarded.
 ///
 /// Definition I.5 (stored zeros are absent) is an opt-in knob: passing
 /// `drop_zero` omits output entries whose *folded* value equals the zero
@@ -44,7 +50,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -52,6 +59,7 @@
 #include "algebra/concepts.hpp"
 #include "core/types.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/hypercsr.hpp"
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
 #include "util/thread_pool.hpp"
@@ -60,37 +68,27 @@ namespace i2a::sparse {
 
 namespace detail {
 
-/// Per-chunk cursor frontier for the k-way row merge, reused across every
-/// row of the chunk and across the count and scatter passes (which index
-/// it by the same chunk id).
+/// Per-chunk working set of the k-way merge, reused across every row of
+/// the chunk and across the count and scatter passes (which index it by
+/// the same chunk id): the column-stream frontier of the current row,
+/// plus each run's monotone slot cursor.
 template <typename T>
 struct MergeScratch {
   std::vector<const index_t*> cols;  ///< run r's row cursor (cols)
   std::vector<const T*> vals;        ///< run r's row cursor (vals)
   std::vector<index_t> len;          ///< entries left in run r's row
+  std::vector<index_t> slot;         ///< run r's next stored-row slot
 };
 
-/// Walk row `r` of all runs simultaneously and call
-/// `emit(col, folded_value)` once per merged column, strictly increasing.
-/// Folding visits runs in index order — runs[0] ⊕ runs[1] ⊕ … — which is
-/// the age order callers rely on. `need_vals` lets the count pass skip
-/// value reads entirely when no zero-dropping is requested.
+/// The fold: walk the k row streams loaded into `s` and call
+/// `emit(col, folded_value)` once per merged column, strictly
+/// increasing. Folding visits streams in index order — runs[0] ⊕
+/// runs[1] ⊕ … — which is the age order callers rely on. `need_vals`
+/// lets the count pass skip value reads entirely when no zero-dropping
+/// is requested.
 template <typename T, typename Add, typename Emit>
-void merge_row_k(const std::vector<const Csr<T>*>& runs, index_t r,
-                 MergeScratch<T>& s, const Add& add, bool need_vals,
-                 const Emit& emit) {
-  const std::size_t k = runs.size();
-  s.cols.resize(k);
-  s.vals.resize(k);
-  s.len.resize(k);
-  index_t live = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto cs = runs[i]->row_cols(r);
-    s.cols[i] = cs.data();
-    s.vals[i] = runs[i]->row_vals(r).data();
-    s.len[i] = static_cast<index_t>(cs.size());
-    live += s.len[i];
-  }
+void fold_streams(std::size_t k, MergeScratch<T>& s, index_t live,
+                  const Add& add, bool need_vals, const Emit& emit) {
   while (live > 0) {
     // Frontier minimum: the next merged column.
     index_t mc = -1;
@@ -116,118 +114,240 @@ void merge_row_k(const std::vector<const Csr<T>*>& runs, index_t r,
   }
 }
 
+/// Point every run's slot cursor at its first stored row ≥ r.
+template <typename T>
+void seek_rows(const std::vector<const HyperCsr<T>*>& runs, index_t r,
+               MergeScratch<T>& s) {
+  const std::size_t k = runs.size();
+  s.cols.resize(k);
+  s.vals.resize(k);
+  s.len.resize(k);
+  s.slot.resize(k);
+  for (std::size_t i = 0; i < k; ++i) s.slot[i] = runs[i]->lower_slot(r);
+}
+
+/// Load slot `sl` of run i as stream i of the frontier; returns its
+/// length.
+template <typename T>
+index_t load_slot(MergeScratch<T>& s, std::size_t i, const HyperCsr<T>& run,
+                  index_t sl) {
+  const index_t b = run.row_ptr()[static_cast<std::size_t>(sl)];
+  s.cols[i] = run.cols().data() + b;
+  s.vals[i] = run.vals().data() + b;
+  s.len[i] = run.row_ptr()[static_cast<std::size_t>(sl) + 1] - b;
+  return s.len[i];
+}
+
+/// Load row `r` of every run as the frontier's streams, advancing each
+/// slot cursor (rows are visited in increasing order after `seek_rows`).
+/// Returns the entries loaded.
+template <typename T>
+index_t load_row(const std::vector<const HyperCsr<T>*>& runs, index_t r,
+                 MergeScratch<T>& s) {
+  index_t live = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const HyperCsr<T>& run = *runs[i];
+    index_t& sl = s.slot[i];
+    s.len[i] = 0;
+    if (run.dense()) {
+      sl = r;
+    } else {
+      const auto& ids = run.row_ids();
+      const auto end = static_cast<index_t>(ids.size());
+      while (sl < end && ids[static_cast<std::size_t>(sl)] < r) ++sl;
+      if (sl == end || ids[static_cast<std::size_t>(sl)] != r) continue;
+    }
+    live += load_slot(s, i, run, sl);
+  }
+  return live;
+}
+
+/// Merge row `r` of all runs — the single-row entry point snapshot
+/// readers use: each run is probed by `slot_of(r)` (O(1): direct when
+/// dense, the row-id hash when hypersparse), then the shared fold. A
+/// row no run stores emits nothing.
+template <typename T, typename Add, typename Emit>
+void merge_row_k(const std::vector<const HyperCsr<T>*>& runs, index_t r,
+                 MergeScratch<T>& s, const Add& add, bool need_vals,
+                 const Emit& emit) {
+  const std::size_t k = runs.size();
+  s.cols.resize(k);
+  s.vals.resize(k);
+  s.len.resize(k);
+  index_t live = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const index_t sl = runs[i]->slot_of(r);
+    s.len[i] = 0;
+    if (sl >= 0) live += load_slot(s, i, *runs[i], sl);
+  }
+  fold_streams(k, s, live, add, need_vals, emit);
+}
+
 }  // namespace detail
 
 /// C = runs[0] ⊕ runs[1] ⊕ … ⊕ runs[k-1], entrywise, all runs the same
 /// shape. `add(a, b)` is ⊕; equal columns fold in run order, so callers
 /// encoding batch age as run order get the same fold a single-shot build
 /// would perform. `drop_zero`, when non-null, omits output entries whose
-/// folded value equals `*drop_zero` (Definition I.5). Output is
-/// byte-identical across pool sizes.
+/// folded value equals `*drop_zero` (Definition I.5). Work is
+/// O(Σ stored rows · k + Σ nnz) — never Θ(nrows) unless some run is
+/// dense. Output is byte-identical across pool sizes.
 template <typename T, typename Add>
-Csr<T> merge_add_k(const std::vector<const Csr<T>*>& runs, const Add& add,
-                   util::ThreadPool* pool = nullptr,
-                   const T* drop_zero = nullptr) {
+HyperCsr<T> merge_add_k(const std::vector<const HyperCsr<T>*>& runs,
+                        const Add& add, util::ThreadPool* pool = nullptr,
+                        const T* drop_zero = nullptr) {
   if (runs.empty()) {
     throw std::invalid_argument("merge_add_k: no input runs");
   }
   const index_t nrows = runs[0]->nrows();
   const index_t ncols = runs[0]->ncols();
+  bool any_dense = false;
   for (const auto* m : runs) {
     if (m->nrows() != nrows || m->ncols() != ncols) {
       throw std::invalid_argument("merge_add_k: run shape mismatch");
     }
     I2A_EXPECTS(m->is_canonical(), "merge_add_k: input run not canonical");
+    any_dense = any_dense || m->dense();
   }
   const bool dropping = drop_zero != nullptr;
   if (runs.size() == 1 && !dropping) return *runs[0];  // fold of one
 
-  const bool parallel = pool != nullptr && pool->size() > 1 && nrows > 0;
-  const index_t nchunks =
-      parallel ? pool->num_chunks(nrows) : (nrows > 0 ? 1 : 0);
-  // Injection site: the count pass's scratch/frontier allocations. A
+  // Injection site: the row-space and count-pass scratch allocations. A
   // fire here leaves every input run untouched — the merge has produced
   // nothing yet (DESIGN.md §10).
   I2A_FAILPOINT("merge.count.scratch");
+  // Step 0: the candidate rows, increasing. With a dense run among the
+  // inputs that is every row (implicit); otherwise the union of the
+  // runs' row-id lists.
+  std::vector<index_t> union_rows;
+  if (!any_dense) {
+    std::vector<index_t> tmp;
+    for (const auto* m : runs) {
+      tmp.clear();
+      std::set_union(union_rows.begin(), union_rows.end(),
+                     m->row_ids().begin(), m->row_ids().end(),
+                     std::back_inserter(tmp));
+      union_rows.swap(tmp);
+    }
+  }
+  const index_t ncand =
+      any_dense ? nrows : static_cast<index_t>(union_rows.size());
+  const auto row_of = [&](index_t u) {
+    return any_dense ? u : union_rows[static_cast<std::size_t>(u)];
+  };
+
+  const bool parallel = pool != nullptr && pool->size() > 1 && ncand > 0;
+  const index_t nchunks =
+      parallel ? pool->num_chunks(ncand) : (ncand > 0 ? 1 : 0);
   std::vector<detail::MergeScratch<T>> scratch(
       static_cast<std::size_t>(nchunks));
 
-  // Pass 1 (count): per-row merged sizes, written into row_ptr[r + 1]
-  // (rows are disjoint across chunks, so no histograms are needed —
-  // unlike the COO scatter, a row merge has exactly one producer). The
-  // count only touches values when zero-dropping makes sizes
-  // value-dependent — that path deliberately folds twice (once to size,
-  // once to write) in exchange for exact sizing with no compaction
-  // copy; the default no-drop path, the adjacency-maintenance hot path,
-  // folds exactly once.
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
+  // Pass 1 (count): per-candidate merged sizes, written into off[u + 1]
+  // (candidates are disjoint across chunks, so no histograms are needed
+  // — a row merge has exactly one producer). The count only touches
+  // values when zero-dropping makes sizes value-dependent — that path
+  // deliberately folds twice (once to size, once to write) in exchange
+  // for exact sizing with no compaction copy; the default no-drop path,
+  // the adjacency-maintenance hot path, folds exactly once.
+  std::vector<index_t> off(static_cast<std::size_t>(ncand) + 1, 0);
   detail::run_chunked(
-      pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
+      pool, parallel, ncand, [&](index_t chunk, index_t lo, index_t hi) {
         auto& s = scratch[static_cast<std::size_t>(chunk)];
-        for (index_t r = lo; r < hi; ++r) {
+        detail::seek_rows(runs, row_of(lo), s);
+        for (index_t u = lo; u < hi; ++u) {
           index_t cnt = 0;
-          detail::merge_row_k(runs, r, s, add, dropping,
-                              [&](index_t, const T& v) {
-                                if (!dropping || !(v == *drop_zero)) ++cnt;
-                              });
-          row_ptr[static_cast<std::size_t>(r) + 1] = cnt;
+          detail::fold_streams(runs.size(), s,
+                               detail::load_row(runs, row_of(u), s), add,
+                               dropping, [&](index_t, const T& v) {
+                                 if (!dropping || !(v == *drop_zero)) ++cnt;
+                               });
+          off[static_cast<std::size_t>(u) + 1] = cnt;
         }
       });
 
-  // Stitch: one serial prefix sum sizes the output exactly.
-  for (index_t r = 0; r < nrows; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
+  // Stitch: one serial prefix sum sizes the output exactly; rows left
+  // empty (all entries dropped, or an empty row of a dense run) are
+  // counted to pick the output layout.
+  index_t nonempty = 0;
+  for (index_t u = 0; u < ncand; ++u) {
+    nonempty += off[static_cast<std::size_t>(u) + 1] > 0;
+    off[static_cast<std::size_t>(u) + 1] += off[static_cast<std::size_t>(u)];
   }
   // Injection site: the scatter pass's output allocation — the largest
   // single allocation a compaction makes, so the canonical place an
   // out-of-memory failure lands mid-merge. A fire discards only the
   // partially built output; the input runs stay live and pinned.
   I2A_FAILPOINT("merge.scatter.alloc");
-  std::vector<index_t> cols(static_cast<std::size_t>(row_ptr.back()));
-  std::vector<T> vals(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<index_t> cols(static_cast<std::size_t>(off.back()));
+  std::vector<T> vals(static_cast<std::size_t>(off.back()));
 
   // Pass 2 (scatter + fold): same chunk decomposition, same scratch,
   // entries written straight into their final slots.
   detail::run_chunked(
-      pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
+      pool, parallel, ncand, [&](index_t chunk, index_t lo, index_t hi) {
         auto& s = scratch[static_cast<std::size_t>(chunk)];
-        for (index_t r = lo; r < hi; ++r) {
-          auto w = static_cast<std::size_t>(
-              row_ptr[static_cast<std::size_t>(r)]);
-          detail::merge_row_k(runs, r, s, add, true,
-                              [&](index_t c, const T& v) {
-                                if (dropping && v == *drop_zero) return;
-                                cols[w] = c;
-                                vals[w] = v;
-                                ++w;
-                              });
+        detail::seek_rows(runs, row_of(lo), s);
+        for (index_t u = lo; u < hi; ++u) {
+          auto w = static_cast<std::size_t>(off[static_cast<std::size_t>(u)]);
+          detail::fold_streams(runs.size(), s,
+                               detail::load_row(runs, row_of(u), s), add,
+                               true, [&](index_t c, const T& v) {
+                                 if (dropping && v == *drop_zero) return;
+                                 cols[w] = c;
+                                 vals[w] = v;
+                                 ++w;
+                               });
           I2A_ASSERT(w == static_cast<std::size_t>(
-                              row_ptr[static_cast<std::size_t>(r) + 1]),
+                              off[static_cast<std::size_t>(u) + 1]),
                      "merge_add_k: scatter count disagrees with count pass");
         }
       });
 
-  Csr<T> out(nrows, ncols, std::move(row_ptr), std::move(cols),
-             std::move(vals));
+  // Lay the output out: the candidates that kept entries, as row ids
+  // over `off` (HyperCsr picks dense or hypersparse from their count).
+  HyperCsr<T> out;
+  if (any_dense && HyperCsr<T>::dense_layout(nrows, nonempty)) {
+    out = HyperCsr<T>::from_dense(nrows, ncols, std::move(off),
+                                  std::move(cols), std::move(vals));
+  } else {
+    std::vector<index_t> row_ids;
+    std::vector<index_t> row_ptr;
+    row_ids.reserve(static_cast<std::size_t>(nonempty));
+    row_ptr.reserve(static_cast<std::size_t>(nonempty) + 1);
+    for (index_t u = 0; u < ncand; ++u) {
+      if (off[static_cast<std::size_t>(u) + 1] ==
+          off[static_cast<std::size_t>(u)]) {
+        continue;
+      }
+      row_ids.push_back(row_of(u));
+      row_ptr.push_back(off[static_cast<std::size_t>(u)]);
+    }
+    row_ptr.push_back(off.back());
+    out = HyperCsr<T>::from_rows(nrows, ncols, std::move(row_ids),
+                                 std::move(row_ptr), std::move(cols),
+                                 std::move(vals));
+  }
   I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
   return out;
 }
 
-/// Refcounted-run overload: the shape `PinnedSnapshot` and the ladder
-/// hold runs in. The handles pin the runs for the duration of the merge;
-/// the fold itself is identical to the raw-pointer overload.
-// i2a-lint: allow(kernel-entry-expects): forwarding overload — the
-// kernel-boundary contract is checked by the raw-pointer kernel it
-// immediately calls.
+/// `Csr` form of the merge: converts each run, merges on the one engine
+/// above, converts back. O(nrows + nnz) per run for the conversions —
+/// for callers holding classic arrays, not for the streaming hot path.
 template <typename T, typename Add>
-Csr<T> merge_add_k(
-    const std::vector<std::shared_ptr<const Csr<T>>>& runs, const Add& add,
-    util::ThreadPool* pool = nullptr, const T* drop_zero = nullptr) {
-  std::vector<const Csr<T>*> ptrs;
-  ptrs.reserve(runs.size());
-  for (const auto& r : runs) ptrs.push_back(r.get());
-  return merge_add_k<T, Add>(ptrs, add, pool, drop_zero);
+Csr<T> merge_add_k(const std::vector<const Csr<T>*>& runs, const Add& add,
+                   util::ThreadPool* pool = nullptr,
+                   const T* drop_zero = nullptr) {
+  std::vector<HyperCsr<T>> owned;
+  owned.reserve(runs.size());
+  for (const auto* m : runs) {
+    I2A_EXPECTS(m->is_canonical(), "merge_add_k: input run not canonical");
+    owned.push_back(HyperCsr<T>::from_csr(*m));
+  }
+  std::vector<const HyperCsr<T>*> ptrs;
+  ptrs.reserve(owned.size());
+  for (const auto& h : owned) ptrs.push_back(&h);
+  return merge_add_k(ptrs, add, pool, drop_zero).to_csr();
 }
 
 /// Two-run convenience: C = a ⊕ b (a folds first — a is the *older*
@@ -252,56 +372,6 @@ Csr<typename P::value_type> merge(
   using T = typename P::value_type;
   return merge_add(
       a, b, [&p](const T& x, const T& y) { return p.add(x, y); }, pool);
-}
-
-/// Serial oracle for the differential tests (the `from_coo_reference`
-/// pattern): per row, concatenate the runs' entries in run order, stable
-/// sort by column, fold left. Deliberately shares no code with the
-/// engine.
-template <typename T, typename Add>
-Csr<T> merge_add_reference(const std::vector<const Csr<T>*>& runs,
-                           const Add& add, const T* drop_zero = nullptr) {
-  if (runs.empty()) {
-    throw std::invalid_argument("merge_add_reference: no input runs");
-  }
-  const index_t nrows = runs[0]->nrows();
-  const index_t ncols = runs[0]->ncols();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-  std::vector<index_t> cols;
-  std::vector<T> vals;
-  std::vector<std::pair<index_t, T>> buf;
-  for (index_t r = 0; r < nrows; ++r) {
-    buf.clear();
-    for (const auto* m : runs) {
-      const auto cs = m->row_cols(r);
-      const auto vs = m->row_vals(r);
-      for (std::size_t i = 0; i < cs.size(); ++i) {
-        buf.emplace_back(cs[i], vs[i]);
-      }
-    }
-    std::stable_sort(
-        buf.begin(), buf.end(),
-        [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t i = 0; i < buf.size();) {
-      T acc = buf[i].second;
-      std::size_t j = i + 1;
-      for (; j < buf.size() && buf[j].first == buf[i].first; ++j) {
-        acc = add(acc, buf[j].second);
-      }
-      if (drop_zero == nullptr || !(acc == *drop_zero)) {
-        cols.push_back(buf[i].first);
-        vals.push_back(acc);
-        ++row_ptr[static_cast<std::size_t>(r) + 1];
-      }
-      i = j;
-    }
-  }
-  for (index_t r = 0; r < nrows; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
-  }
-  return Csr<T>(nrows, ncols, std::move(row_ptr), std::move(cols),
-                std::move(vals));
 }
 
 }  // namespace i2a::sparse

@@ -168,19 +168,27 @@ struct HeapCursor {
   index_t pos;
 };
 
-/// Min-heap-on-column sift-down for the merge cursors. The merge uses
-/// replace-top (mutate the root, sift once) instead of pop+push, halving
-/// the sift work per stream advance. Equal columns pop in whatever order
-/// the (fully deterministic) heap structure yields — per-row determinism
-/// is all the byte-identical-across-pool-sizes guarantee needs.
+/// Heap order for the merge cursors: column first, then stream index.
+/// The tie-break makes equal columns pop in stream order — for the
+/// incidence product, edge order — so the heap kernel folds parallel
+/// edges in the same order as the Gustavson and hash kernels and a
+/// non-associative (FP) ⊕ gives the same bytes on every kernel. Keys
+/// are unique (one live cursor per stream), so the pop order is total.
+inline bool cursor_before(const HeapCursor& x, const HeapCursor& y) {
+  return x.col != y.col ? x.col < y.col : x.ka < y.ka;
+}
+
+/// Min-heap sift-down for the merge cursors. The merge uses replace-top
+/// (mutate the root, sift once) instead of pop+push, halving the sift
+/// work per stream advance.
 inline void cursor_sift_down(std::vector<HeapCursor>& h, std::size_t i) {
   const std::size_t n = h.size();
   const HeapCursor x = h[i];
   for (;;) {
     std::size_t kid = 2 * i + 1;
     if (kid >= n) break;
-    if (kid + 1 < n && h[kid + 1].col < h[kid].col) ++kid;
-    if (h[kid].col >= x.col) break;
+    if (kid + 1 < n && cursor_before(h[kid + 1], h[kid])) ++kid;
+    if (!cursor_before(h[kid], x)) break;
     h[i] = h[kid];
     i = kid;
   }

@@ -9,15 +9,29 @@
 /// The paper states Theorem II.1 for a static edge list; a serving
 /// system sees edges in batches *and queries between them*. Because the
 /// theorem's per-(i,j) value is a ⊕-fold over parallel edges and ⊕ is
-/// associative, the fold can be computed incrementally: build each
-/// batch's *delta* adjacency with the ordinary sort-free incidence +
-/// SpGEMM path (graph/incidence.hpp), keep the deltas as immutable
-/// refcounted runs, and ⊕-merge them — lazily for queries, eagerly for
-/// compaction (sparse/merge.hpp). Age order is preserved end to end, so
-/// every snapshot is byte-identical to a full rebuild from the
-/// concatenated prefix of batches it covers.
+/// associative, the fold can be computed incrementally: stage each
+/// batch's *delta* adjacency, keep the deltas as immutable refcounted
+/// runs, and ⊕-merge them — lazily for queries, eagerly for compaction
+/// (sparse/merge.hpp). Age order is preserved end to end, so every
+/// snapshot is byte-identical to a full rebuild from the concatenated
+/// prefix of batches it covers.
 ///
-/// **Run-list ladder.** Each ladder keeps a list of immutable CSR runs,
+/// **Per-batch cost tracks the batch, not n.** Each incidence row holds
+/// exactly one nonzero, so a delta needs no product: staging is the
+/// direct per-edge fold (`graph::fold_adjacency` — sort the batch by
+/// (src, dst), fold each group's Eout(e,src) ⊗ Ein(e,dst) terms in edge
+/// order, which is the fold order of every SpGEMM kernel, so the bytes
+/// equal `build_adjacency`'s). Runs are `sparse::HyperCsr`: a hypersparse
+/// run stores only its non-empty rows, and the merge walks the union of
+/// the runs' stored rows. So stage, prepare/merge and commit cost
+/// O(batch log batch + merged entries) whatever the vertex count — a
+/// builder over 2^62 vertices ingests like one over 1024
+/// (test_stream's n-independence trap). A run whose rows reach a fixed
+/// share of n stores every row instead (the small-n case keeps O(1) row
+/// lookup). Only `adjacency()`/`materialize()` and checkpoint writes
+/// expand runs to the n + 1-pointer `Csr`.
+///
+/// **Run-list ladder.** Each ladder keeps a list of immutable runs,
 /// oldest first, each covering a consecutive interval of batches — the
 /// logarithmic-method / LSM shape expressed as a list instead of
 /// fixed-power-of-two slots, so compaction can happen asynchronously.
@@ -32,12 +46,12 @@
 /// **Row sharding.** Theorem II.1 makes A(i,:) the ⊕-fold of exactly
 /// the edges whose source is i, so hash-partitioning source vertices
 /// across k ladders partitions the fold by row: sharding is exact, and
-/// the plain builder is simply k = 1. Every ladder builds over the full
-/// n × n shape (rows it doesn't own stay empty), so a snapshot is the
-/// concatenation of every ladder's pinned run list; per row, all
-/// contributing runs come from the one owning ladder in batch-age order,
-/// so the bytes do not depend on k (pinned per prefix by
-/// test_sharded_differential). The shard hash is a splitmix64-style
+/// the plain builder is simply k = 1 (which stages the caller's span
+/// with no routing copy). A ladder's runs hold only the rows it owns, so
+/// a snapshot is the concatenation of every ladder's pinned run list;
+/// per row, all contributing runs come from the one owning ladder in
+/// batch-age order, so the bytes do not depend on k (pinned per prefix
+/// by test_sharded_differential). The shard hash is a splitmix64-style
 /// finalizer, not `src % k`: generator vertex ids are dense, and
 /// real-world id schemes stripe (hubs at round numbers, region
 /// prefixes), so a plain modulus can systematically starve shards
@@ -73,8 +87,8 @@
 /// delivery rule:
 ///
 ///   * *Strong guarantee on ingest.* Anything that throws out of
-///     `ingest()` — batch validation, delta staging (incidence assembly,
-///     SpGEMM), in inline mode the compaction merges themselves, and
+///     `ingest()` — batch validation, delta staging (the per-edge
+///     fold), in inline mode the compaction merges themselves, and
 ///     the WAL append — leaves the builder exactly as before the call:
 ///     same runs, same stats, same epoch on every ladder; snapshots
 ///     never see a torn batch. Ingest is two-phase: every ladder is
@@ -118,7 +132,7 @@
 /// different sharding; k = 1 writes the same bytes whichever name built
 /// it.
 ///
-/// Canonical-CSR postconditions (`I2A_ENSURES`) hold for every run the
+/// Canonical-run postconditions (`I2A_ENSURES`) hold for every run the
 /// ladder ever exposes, whether an inline merge, a background-task
 /// merge, or a per-batch delta produced it — the Debug/
 /// `I2A_CHECK_INVARIANTS` CI legs execute the background path too.
@@ -140,8 +154,8 @@
 #include "graph/graph.hpp"
 #include "graph/incidence.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/hypercsr.hpp"
 #include "sparse/merge.hpp"
-#include "sparse/spgemm.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/pinned_snapshot.hpp"
 #include "stream/wal.hpp"
@@ -154,9 +168,9 @@
 
 namespace i2a::stream {
 
-/// How a batch's incidence arrays draw their entries — mirrors the two
-/// batch-construction entry points (`incidence_arrays` /
-/// `weighted_incidence_arrays`).
+/// How a batch's incidence entries are drawn — the two draws the
+/// batch-construction entry points share with staging
+/// (`graph::unweighted_draw` / `graph::weighted_draw`).
 enum class Weighting {
   kUnweighted,  ///< every incidence entry is 1: A(i,j) folds edge counts
   kWeighted,    ///< Ein carries w(e), Eout carries ⊗-identity: A(i,j)
@@ -180,7 +194,8 @@ inline constexpr std::size_t kUnboundedPendingMerges =
 /// (DESIGN.md §12) — all of it inert while `wal_dir` is empty.
 struct Options {
   Weighting weighting = Weighting::kUnweighted;
-  sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto;
+  /// Runs inline merges and `adjacency()` chunked, and hosts background
+  /// compactions and checkpoints. Staging is batch-sized and serial.
   util::ThreadPool* pool = nullptr;
   Compaction compaction = Compaction::kInline;
   std::size_t max_pending_merges = kUnboundedPendingMerges;
@@ -207,8 +222,8 @@ struct Options {
 /// `num_levels` and `drain` are safe from any thread concurrently with
 /// the writer and with background compaction (pinned under TSan by
 /// test_serve). The ladder regroups the ⊕-fold across batches and the
-/// per-batch delta is a full ⊕.⊗ product, so the pair must declare the
-/// complete `Semiring` contract.
+/// per-batch delta is a ⊕.⊗ fold, so the pair must declare the complete
+/// `Semiring` contract.
 template <typename P>
   requires algebra::Semiring<P>
 class AdjacencyBuilder {
@@ -375,22 +390,30 @@ class AdjacencyBuilder {
   /// contract the crash harness holds recovery to).
   void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(*mu_) {
     rethrow_pending_error();
-    const std::size_t k = ladders_.size();
-    std::vector<graph::Graph> parts(k, graph::Graph(n_));
     for (const graph::Edge& e : batch) {
       if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
         throw std::out_of_range(
             "AdjacencyBuilder::ingest: edge endpoint out of range");
       }
-      parts[shard_of(e.src)].edges().push_back(e);
     }
+    // Route: one ladder stages the caller's span as is; k > 1 ladders
+    // each stage their own share, copied out once.
+    const std::size_t k = ladders_.size();
+    std::vector<std::vector<graph::Edge>> parts;
+    if (k > 1) {
+      parts.resize(k);
+      for (const graph::Edge& e : batch) parts[shard_of(e.src)].push_back(e);
+    }
+    const auto share = [&](std::size_t s) {
+      return k > 1 ? std::span<const graph::Edge>(parts[s]) : batch;
+    };
     // Phase 1: stage + prepare, all fallible work. Nothing is consumed
     // until every ladder has a Prepared in hand.
     std::vector<Prepared> preps;
     preps.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
-      preps.push_back(prepare_publish(ladders_[s], stage(parts[s]),
-                                      parts[s].edges().size()));
+      preps.push_back(
+          prepare_publish(ladders_[s], stage(share(s)), share(s).size()));
     }
     std::vector<std::function<void()>> tasks(k);
     // The WAL append is the last fallible step: its strong guarantee
@@ -429,7 +452,7 @@ class AdjacencyBuilder {
   /// (not consumed) into the snapshot's `pending_error()`. See
   /// stream/pinned_snapshot.hpp.
   PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(*mu_) {
-    std::vector<std::shared_ptr<const sparse::Csr<value_type>>> pins;
+    std::vector<std::shared_ptr<const Matrix>> pins;
     std::uint64_t epoch = 0;
     std::exception_ptr pending;
     {
@@ -437,7 +460,7 @@ class AdjacencyBuilder {
       for (const auto& lad : ladders_) {
         util::MutexLock lock(lad->mu);
         pins.reserve(pins.size() + lad->runs.size());
-        for (const Run& run : lad->runs) pins.push_back(run.csr);
+        for (const Run& run : lad->runs) pins.push_back(run.array);
         epoch = lad->stats.batches;
         if (!pending && !lad->errors.empty()) pending = lad->errors.front();
       }
@@ -467,10 +490,14 @@ class AdjacencyBuilder {
   }
 
  private:
+  /// The run storage: only the rows a run holds, whatever n is
+  /// (sparse/hypercsr.hpp).
+  using Matrix = sparse::HyperCsr<value_type>;
+
   /// One immutable ladder run: the ⊕-fold of `weight` consecutive
   /// non-empty batches.
   struct Run {
-    std::shared_ptr<const sparse::Csr<value_type>> csr;
+    std::shared_ptr<const Matrix> array;
     std::uint64_t weight;
   };
 
@@ -506,7 +533,7 @@ class AdjacencyBuilder {
     std::uint64_t compactions = 0;
     std::uint64_t merged_entries = 0;
     /// Background mode: the delta to append (capacity already reserved).
-    std::shared_ptr<const sparse::Csr<value_type>> delta;
+    std::shared_ptr<const Matrix> delta;
     std::uint64_t delta_nnz = 0;
     std::size_t batch_edges = 0;
   };
@@ -557,7 +584,7 @@ class AdjacencyBuilder {
           Ladder& lad = *ladders_[s];
           util::MutexLock lock(lad.mu);
           for (CheckpointRun<value_type>& r : ckpt->shards[s]) {
-            lad.runs.push_back(Run{std::move(r.csr), r.weight});
+            lad.runs.push_back(Run{std::move(r.run), r.weight});
           }
           lad.stats.batches = ckpt->epoch;
           lad.stats.edges = ckpt->edges[s];
@@ -612,7 +639,7 @@ class AdjacencyBuilder {
       util::MutexLock lock(lad->mu);
       shard_runs[s].reserve(lad->runs.size());
       for (const Run& r : lad->runs) {
-        shard_runs[s].push_back(CheckpointRun<value_type>{r.csr, r.weight});
+        shard_runs[s].push_back(CheckpointRun<value_type>{r.array, r.weight});
       }
       edges[s] = lad->stats.edges;
     }
@@ -704,24 +731,29 @@ class AdjacencyBuilder {
     while (lad->compacting || lad->checkpointing) lad->cv.wait(lad->mu);
   }
 
-  /// Build a ladder's share of a batch as a delta adjacency — no ladder
+  /// Build a ladder's share of a batch as a delta adjacency with the
+  /// direct per-edge fold (`graph::fold_adjacency`: sort the share by
+  /// (src, dst), fold each group in edge order — the incidence + SpGEMM
+  /// bytes at O(m log m), holding only the touched rows). No ladder
   /// state is touched, so staging runs lock-free, for every ladder
   /// before any commits. Returns nullptr for an empty share (the
   /// ⊕-identity contribution).
-  std::shared_ptr<const sparse::Csr<value_type>> stage(
-      const graph::Graph& g) const {
-    if (g.edges().empty()) return nullptr;
+  std::shared_ptr<const Matrix> stage(
+      std::span<const graph::Edge> edges) const {
+    if (edges.empty()) return nullptr;
     // Injection site: the whole staging pipeline for a non-empty batch.
-    // A fire here (or in the incidence/SpGEMM sites downstream) leaves
-    // the ladder untouched — ingest's strong guarantee.
+    // A fire here (or in the fold's own site downstream) leaves the
+    // ladder untouched — ingest's strong guarantee.
     I2A_FAILPOINT("builder.stage.batch");
-    const auto inc = opts_.weighting == Weighting::kWeighted
-                         ? graph::weighted_incidence_arrays(g, p_, opts_.pool)
-                         : graph::incidence_arrays(g, p_, opts_.pool);
-    auto delta = graph::adjacency_array(p_, inc, opts_.algo, opts_.pool);
+    Matrix delta =
+        opts_.weighting == Weighting::kWeighted
+            ? graph::fold_adjacency(p_, edges, n_,
+                                    graph::weighted_draw(p_, edges))
+            : graph::fold_adjacency(p_, edges, n_,
+                                    graph::unweighted_draw(p_));
     I2A_ENSURES(delta.is_canonical(),
                 "AdjacencyBuilder: staged delta not canonical");
-    return std::make_shared<const sparse::Csr<value_type>>(std::move(delta));
+    return std::make_shared<const Matrix>(std::move(delta));
   }
 
   /// Phase 1 of a publish: everything fallible. Inline mode settles the
@@ -732,7 +764,7 @@ class AdjacencyBuilder {
   /// commit's push_back cannot throw.
   Prepared prepare_publish(
       const std::shared_ptr<Ladder>& lad,
-      std::shared_ptr<const sparse::Csr<value_type>> delta,
+      std::shared_ptr<const Matrix> delta,
       std::size_t batch_edges) const I2A_EXCLUDES(lad->mu) {
     Prepared prep;
     prep.batch_edges = batch_edges;
@@ -912,7 +944,7 @@ class AdjacencyBuilder {
       // point where a failure has already paid the merge cost but must
       // still not corrupt the published list.
       I2A_FAILPOINT("builder.ladder.splice");
-      merged_entries += static_cast<std::uint64_t>(merged.csr->nnz());
+      merged_entries += static_cast<std::uint64_t>(merged.array->nnz());
       ++compactions;
       runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(lo + 1),
                  runs.begin() + static_cast<std::ptrdiff_t>(hi));
@@ -950,11 +982,11 @@ class AdjacencyBuilder {
   static Run merge_group(const std::vector<Run>& runs, std::size_t lo,
                          std::size_t hi, const P& p,
                          util::ThreadPool* pool) {
-    std::vector<const sparse::Csr<value_type>*> group;
+    std::vector<const Matrix*> group;
     group.reserve(hi - lo);
     std::uint64_t weight = 0;
     for (std::size_t i = lo; i < hi; ++i) {
-      group.push_back(runs[i].csr.get());
+      group.push_back(runs[i].array.get());
       weight += runs[i].weight;
     }
     auto merged = sparse::merge_add_k(
@@ -965,9 +997,7 @@ class AdjacencyBuilder {
         pool);
     I2A_ENSURES(merged.is_canonical(),
                 "AdjacencyBuilder: compaction produced non-canonical run");
-    return Run{std::make_shared<const sparse::Csr<value_type>>(
-                   std::move(merged)),
-               weight};
+    return Run{std::make_shared<const Matrix>(std::move(merged)), weight};
   }
 
   /// Under the ladder lock: if no merge is in flight and a suffix
@@ -1013,7 +1043,7 @@ class AdjacencyBuilder {
           lad->runs[lo] = std::move(merged);
           ++lad->stats.compactions;
           lad->stats.merged_entries +=
-              static_cast<std::uint64_t>(lad->runs[lo].csr->nnz());
+              static_cast<std::uint64_t>(lad->runs[lo].array->nnz());
           lad->compacting = false;
           try {
             next = plan_task_locked(lad, pool, p);

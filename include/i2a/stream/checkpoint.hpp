@@ -15,6 +15,13 @@
 /// never a half-visible checkpoint (a stray `.tmp` is ignored by the
 /// loader and deleted by the next GC pass).
 ///
+/// The on-disk run is the classic CSR (nrows + 1 row pointer, then
+/// columns, then raw value bits) whatever layout the ladder holds it in
+/// (sparse/hypercsr.hpp): the writer expands a hypersparse run's row
+/// pointer on the fly and the loader converts back, so the file bytes —
+/// and `kWalFormatVersion` — do not depend on the in-memory layout
+/// (pinned by tests/data/durable_golden).
+///
 /// Because runs are immutable and refcounted, the background checkpoint
 /// task serializes a *pinned* copy of the run handles while the writer
 /// keeps ingesting — the same epoch-pinning discipline snapshots use.
@@ -41,6 +48,7 @@
 
 #include "core/types.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/hypercsr.hpp"
 #include "stream/wal.hpp"
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
@@ -48,11 +56,11 @@
 
 namespace i2a::stream {
 
-/// One serialized ladder run: the immutable CSR plus its ladder weight
+/// One serialized ladder run: the immutable run plus its ladder weight
 /// (number of batches it covers), per shard.
 template <typename V>
 struct CheckpointRun {
-  std::shared_ptr<const sparse::Csr<V>> csr;
+  std::shared_ptr<const sparse::HyperCsr<V>> run;
   std::uint64_t weight = 0;
 };
 
@@ -94,8 +102,8 @@ inline std::optional<std::uint64_t> parse_checkpoint_name(
 }
 
 /// Write `checkpoint-<epoch>.ckpt` atomically (tmp + fsync + rename +
-/// dir fsync). `shards[s]` is shard s's oldest-first run list; run CSRs
-/// are read but not retained. Throws util::IoError / FailpointError on
+/// dir fsync). `shards[s]` is shard s's oldest-first run list; runs are
+/// read but not retained. Throws util::IoError / FailpointError on
 /// failure, after deleting the temp file.
 template <typename V>
 std::string write_checkpoint(
@@ -126,21 +134,21 @@ std::string write_checkpoint(
     }
     I2A_FAILPOINT("checkpoint.write");
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      for (const CheckpointRun<V>& run : shards[s]) {
-        const sparse::Csr<V>& csr = *run.csr;
+      for (const CheckpointRun<V>& cr : shards[s]) {
+        const sparse::HyperCsr<V>& run = *cr.run;
         util::ByteWriter w;
         w.u32(kFrameCheckpointRun);
         w.u32(static_cast<std::uint32_t>(s));
-        w.u64(run.weight);
-        w.u64(static_cast<std::uint64_t>(csr.nrows()));
-        w.u64(static_cast<std::uint64_t>(csr.ncols()));
-        w.u64(static_cast<std::uint64_t>(csr.nnz()));
-        for (const index_t v : csr.row_ptr()) w.i64(v);
-        for (const index_t v : csr.cols()) w.i64(v);
+        w.u64(cr.weight);
+        w.u64(static_cast<std::uint64_t>(run.nrows()));
+        w.u64(static_cast<std::uint64_t>(run.ncols()));
+        w.u64(static_cast<std::uint64_t>(run.nnz()));
+        run.for_each_csr_row_ptr([&w](index_t v) { w.i64(v); });
+        for (const index_t v : run.cols()) w.i64(v);
         // Values ride as raw bit patterns; the manifest's algebra tag
         // pins sizeof(V), so a mismatched instantiation can't misread
         // them.
-        w.bytes(csr.vals().data(), csr.vals().size() * sizeof(V));
+        w.bytes(run.vals().data(), run.vals().size() * sizeof(V));
         util::write_frame(f, w.buffer());
       }
     }
@@ -207,8 +215,8 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
       if (shard >= expected.shard_count) {
         throw corrupt("run frame names shard " + std::to_string(shard));
       }
-      CheckpointRun<V> run;
-      run.weight = rr.u64();
+      CheckpointRun<V> loaded;
+      loaded.weight = rr.u64();
       const std::uint64_t nrows = rr.u64();
       const std::uint64_t ncols = rr.u64();
       const std::uint64_t nnz = rr.u64();
@@ -229,10 +237,13 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
       for (std::uint64_t k = 0; k < nnz; ++k) cols.push_back(rr.i64());
       std::vector<V> vals(nnz);
       rr.raw(vals.data(), nnz * sizeof(V));
-      run.csr = std::make_shared<const sparse::Csr<V>>(
-          static_cast<index_t>(nrows), static_cast<index_t>(ncols),
-          std::move(row_ptr), std::move(cols), std::move(vals));
-      out.shards[shard].push_back(std::move(run));
+      const sparse::Csr<V> csr(static_cast<index_t>(nrows),
+                               static_cast<index_t>(ncols), std::move(row_ptr),
+                               std::move(cols), std::move(vals));
+      if (!csr.is_canonical()) throw corrupt("run is not a canonical CSR");
+      loaded.run = std::make_shared<const sparse::HyperCsr<V>>(
+          sparse::HyperCsr<V>::from_csr(csr));
+      out.shards[shard].push_back(std::move(loaded));
     }
     if (reader.next(payload) != util::FrameStatus::kEnd) {
       throw corrupt("trailing bytes after the declared run count");

@@ -4,7 +4,8 @@
 ///        the reader half of the concurrent serving core.
 ///
 /// A `PinnedSnapshot` is what `AdjacencyBuilder::snapshot()` hands a
-/// query thread: the refcounted set of immutable CSR runs that were live
+/// query thread: the refcounted set of immutable `HyperCsr` runs
+/// (sparse/hypercsr.hpp) that were live
 /// at pin time (oldest first), plus the batch count they cover — its
 /// *epoch*. Pinning is O(live runs) shared_ptr copies under a lock held
 /// for pointer copies only; after that the reader touches no builder
@@ -16,16 +17,18 @@
 /// Two read paths:
 ///
 ///   * `materialize()` — one k-way ⊕-merge (sparse/merge.hpp) of the
-///     pinned runs into a standalone CSR, byte-identical to what a
-///     serial rebuild over the covered batch prefix would produce. Right
-///     for algorithms that sweep all rows repeatedly (PageRank,
-///     triangles).
+///     pinned runs, expanded into a standalone CSR byte-identical to
+///     what a serial rebuild over the covered batch prefix would
+///     produce. Right for algorithms that sweep all rows repeatedly
+///     (PageRank, triangles).
 ///   * `fold_row()` / `for_each_in_row()` — merge one row across the
 ///     pinned runs on the fly with the same cursor-frontier kernel the
 ///     materializing merge uses, emitting (column, ⊕-folded value) in
-///     strictly increasing column order. Right for traversal algorithms
-///     that touch a sparse subset of rows (BFS) — no O(nnz) copy, no
-///     lock, no writer interaction.
+///     strictly increasing column order. Each run is probed in O(1)
+///     (directly when dense, through its row-id hash when
+///     hypersparse); a row no run stores emits nothing. Right for
+///     traversal algorithms that touch a sparse subset of rows (BFS) —
+///     no O(nnz) copy, no lock, no writer interaction.
 ///
 /// Both paths fold equal columns in run order = batch-age order, so a
 /// snapshot is semantically exactly the adjacency array of the batch
@@ -42,6 +45,7 @@
 #include "algebra/concepts.hpp"
 #include "core/types.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/hypercsr.hpp"
 #include "sparse/merge.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,14 +60,15 @@ class PinnedSnapshot {
   /// pass to every row fold (the BFS port does exactly this).
   using RowScratch = sparse::detail::MergeScratch<value_type>;
 
+  using Run = sparse::HyperCsr<value_type>;
+
   /// Pins `runs` (oldest first; all shape n × n). Built by
   /// `AdjacencyBuilder::snapshot()`; public so tests and custom serving
   /// layers can assemble run-sets of their own. `pending_error` is the
   /// builder's oldest undelivered background-compaction failure at pin
   /// time, if any (see `pending_error()`).
   PinnedSnapshot(index_t num_vertices, P p, std::uint64_t batches,
-                 std::vector<std::shared_ptr<const sparse::Csr<value_type>>>
-                     runs,
+                 std::vector<std::shared_ptr<const Run>> runs,
                  std::exception_ptr pending_error = nullptr)
       : n_(num_vertices), p_(std::move(p)), batches_(batches),
         owners_(std::move(runs)), pending_error_(std::move(pending_error)) {
@@ -115,21 +120,19 @@ class PinnedSnapshot {
     fold_row(r, scratch, emit);
   }
 
-  /// One k-way ⊕-merge of the pinned runs into a standalone CSR —
-  /// byte-identical to a serial rebuild over the covered batch prefix
-  /// (pool-size invariant, pinned by test_serve / test_stream).
+  /// One k-way ⊕-merge of the pinned runs, expanded into a standalone
+  /// CSR — byte-identical to a serial rebuild over the covered batch
+  /// prefix (pool-size invariant, pinned by test_serve / test_stream).
+  /// The expansion to n + 1 row pointers costs Θ(n).
   sparse::Csr<value_type> materialize(util::ThreadPool* pool = nullptr) const {
-    if (ptrs_.empty()) {
-      return sparse::Csr<value_type>(
-          n_, n_, std::vector<index_t>(static_cast<std::size_t>(n_) + 1, 0),
-          {}, {});
-    }
+    if (ptrs_.empty()) return Run::empty(n_, n_).to_csr();
     return sparse::merge_add_k(
-        ptrs_,
-        [this](const value_type& x, const value_type& y) {
-          return p_.add(x, y);
-        },
-        pool);
+               ptrs_,
+               [this](const value_type& x, const value_type& y) {
+                 return p_.add(x, y);
+               },
+               pool)
+        .to_csr();
   }
 
  private:
@@ -138,8 +141,8 @@ class PinnedSnapshot {
   std::uint64_t batches_;
   /// The pins: each handle keeps its run alive past any writer-side
   /// retirement until this snapshot drops.
-  std::vector<std::shared_ptr<const sparse::Csr<value_type>>> owners_;
-  std::vector<const sparse::Csr<value_type>*> ptrs_;  ///< parallel to owners_
+  std::vector<std::shared_ptr<const Run>> owners_;
+  std::vector<const Run*> ptrs_;  ///< parallel to owners_
   std::exception_ptr pending_error_;  ///< peeked builder failure, if any
 };
 

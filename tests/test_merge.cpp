@@ -1,20 +1,30 @@
 /// \file test_merge.cpp
-/// \brief Differential + edge-case suite for the parallel semiring CSR
-///        ⊕-merge (sparse/merge.hpp): every engine output is bitwise
+/// \brief Differential + edge-case suite for the parallel semiring
+///        ⊕-merge (sparse/merge.hpp): every engine output — through the
+///        `Csr` wrappers and on `HyperCsr` runs directly — is bitwise
 ///        -compared against `merge_add_reference` (a deliberately
-///        independent concatenate/stable-sort/fold-left oracle) across
-///        pool sizes, and the Definition I.5 zero-dropping knob and the
-///        exception-from-chunk semantics are pinned explicitly.
+///        independent concatenate/stable-sort/fold-left oracle over
+///        classic arrays, kept here: it is a test oracle, not API)
+///        across pool sizes, covering disjoint and overlapping row sets,
+///        empty runs and hypersparse/dense mixes on both sides of the
+///        density bar; the Definition I.5 zero-dropping knob, the
+///        single-row fold readers use, the `HyperCsr` ↔ `Csr` round
+///        trip and the exception-from-chunk semantics are pinned
+///        explicitly.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "algebra/pairs.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/hypercsr.hpp"
 #include "sparse/merge.hpp"
+#include "stream/pinned_snapshot.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "test_util.hpp"
@@ -24,8 +34,57 @@ using namespace i2a;
 namespace {
 
 using i2a::test::csr_bitwise_equal;
+using Hyper = sparse::HyperCsr<double>;
 
 double plus(const double& a, const double& b) { return a + b; }
+
+/// Serial oracle for the differential tests (the `from_coo_reference`
+/// pattern): per row, concatenate the runs' entries in run order, stable
+/// sort by column, fold left. Deliberately shares no code with the
+/// engine.
+template <typename T, typename Add>
+sparse::Csr<T> merge_add_reference(
+    const std::vector<const sparse::Csr<T>*>& runs, const Add& add,
+    const T* drop_zero = nullptr) {
+  const index_t nrows = runs[0]->nrows();
+  const index_t ncols = runs[0]->ncols();
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
+  std::vector<index_t> cols;
+  std::vector<T> vals;
+  std::vector<std::pair<index_t, T>> buf;
+  for (index_t r = 0; r < nrows; ++r) {
+    buf.clear();
+    for (const auto* m : runs) {
+      const auto cs = m->row_cols(r);
+      const auto vs = m->row_vals(r);
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        buf.emplace_back(cs[i], vs[i]);
+      }
+    }
+    std::stable_sort(
+        buf.begin(), buf.end(),
+        [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (std::size_t i = 0; i < buf.size();) {
+      T acc = buf[i].second;
+      std::size_t j = i + 1;
+      for (; j < buf.size() && buf[j].first == buf[i].first; ++j) {
+        acc = add(acc, buf[j].second);
+      }
+      if (drop_zero == nullptr || !(acc == *drop_zero)) {
+        cols.push_back(buf[i].first);
+        vals.push_back(acc);
+        ++row_ptr[static_cast<std::size_t>(r) + 1];
+      }
+      i = j;
+    }
+  }
+  for (index_t r = 0; r < nrows; ++r) {
+    row_ptr[static_cast<std::size_t>(r) + 1] +=
+        row_ptr[static_cast<std::size_t>(r)];
+  }
+  return sparse::Csr<T>(nrows, ncols, std::move(row_ptr), std::move(cols),
+                        std::move(vals));
+}
 
 sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
                                std::uint64_t seed) {
@@ -45,7 +104,7 @@ sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
 /// Engine vs oracle across pool sizes {serial, 1, 4, 8}, bitwise.
 void check_matches_reference(const std::vector<const sparse::Csr<double>*>& runs,
                              const double* drop_zero = nullptr) {
-  const auto expected = sparse::merge_add_reference(runs, plus, drop_zero);
+  const auto expected = merge_add_reference(runs, plus, drop_zero);
   const auto serial = sparse::merge_add_k(runs, plus, nullptr, drop_zero);
   CHECK(csr_bitwise_equal(serial, expected));
   for (const std::size_t threads : {1u, 4u, 8u}) {
@@ -121,9 +180,9 @@ void test_kway_random() {
   const auto fwd = sparse::merge_add_k(runs, keep_right);
   const auto rev = sparse::merge_add_k(reversed, keep_right);
   CHECK(csr_bitwise_equal(fwd,
-                      sparse::merge_add_reference(runs, keep_right)));
+                      merge_add_reference(runs, keep_right)));
   CHECK(csr_bitwise_equal(rev,
-                      sparse::merge_add_reference(reversed, keep_right)));
+                      merge_add_reference(reversed, keep_right)));
 }
 
 void test_explicit_zero_entries() {
@@ -189,7 +248,7 @@ void test_exception_from_chunk() {
       // The pool must remain serviceable after capturing the throw.
       const auto ok = sparse::merge_add(a, b, plus, &pool);
       CHECK(csr_bitwise_equal(
-          ok, sparse::merge_add_reference<double>({&a, &b}, plus)));
+          ok, merge_add_reference<double>({&a, &b}, plus)));
     }
   }
 }
@@ -223,6 +282,172 @@ void test_zero_row_matrices() {
   CHECK_EQ(merged.nnz(), 0);
 }
 
+/// A run whose entries all fall in the rows `rows_from + stride * i`
+/// (i < nrows_used): how many rows it stores decides its layout.
+Hyper random_run(index_t nr, index_t nc, index_t rows_from, index_t stride,
+                 index_t nrows_used, index_t nnz, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  sparse::Coo<double> coo(nr, nc);
+  for (index_t i = 0; i < nnz; ++i) {
+    const auto slot = static_cast<index_t>(
+        rng.next() % static_cast<std::uint64_t>(nrows_used));
+    coo.push(rows_from + stride * slot,
+             static_cast<index_t>(rng.next() % static_cast<std::uint64_t>(nc)),
+             static_cast<double>(1 + rng.next() % 7));
+  }
+  return Hyper::from_csr(sparse::Csr<double>::from_coo(std::move(coo)));
+}
+
+/// The HyperCsr engine vs the oracle over the runs' classic arrays,
+/// across pool sizes {serial, 1, 4, 8}: same content, and the canonical
+/// layout for that content (so also the same bytes).
+void check_hyper_matches_reference(const std::vector<const Hyper*>& runs,
+                                   const double* drop_zero = nullptr) {
+  std::vector<sparse::Csr<double>> classic;
+  for (const Hyper* h : runs) classic.push_back(h->to_csr());
+  std::vector<const sparse::Csr<double>*> ptrs;
+  for (const auto& c : classic) ptrs.push_back(&c);
+  const auto expected = merge_add_reference(ptrs, plus, drop_zero);
+  const Hyper want = Hyper::from_csr(expected);
+  const auto same = [&want](const Hyper& got) {
+    return got.is_canonical() && got.dense() == want.dense() &&
+           got.row_ids() == want.row_ids() && got.row_ptr() == want.row_ptr() &&
+           got.cols() == want.cols() && got.vals() == want.vals();
+  };
+  CHECK(same(sparse::merge_add_k(runs, plus, nullptr, drop_zero)));
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    util::ThreadPool pool(threads);
+    CHECK(same(sparse::merge_add_k(runs, plus, &pool, drop_zero)));
+  }
+}
+
+void test_hyper_row_sets() {
+  // 4096 rows: the density bar is 4096 / kDenseRowShare = 128 rows.
+  const index_t n = 4096;
+  const index_t bar = n / sparse::kDenseRowShare;
+  // Disjoint row sets (even vs odd rows), both hypersparse.
+  const Hyper even = random_run(n, 64, 0, 2, 40, 200, 1);
+  const Hyper odd = random_run(n, 64, 1, 2, 40, 200, 2);
+  CHECK(!even.dense() && !odd.dense());
+  check_hyper_matches_reference({&even, &odd});
+  check_hyper_matches_reference({&odd, &even});
+  // Overlapping row sets: the same 50 rows, different columns/values.
+  const Hyper a = random_run(n, 64, 100, 3, 50, 300, 3);
+  const Hyper b = random_run(n, 64, 100, 3, 50, 300, 4);
+  check_hyper_matches_reference({&a, &b, &even});
+  // Two hypersparse runs whose union clears the bar: the merge comes
+  // out dense.
+  const Hyper lo = random_run(n, 64, 0, 1, bar - 8, 2000, 5);
+  const Hyper hi = random_run(n, 64, 2000, 1, bar - 8, 2000, 6);
+  CHECK(!lo.dense() && !hi.dense());
+  check_hyper_matches_reference({&lo, &hi});
+  CHECK(sparse::merge_add_k(std::vector<const Hyper*>{&lo, &hi}, plus).dense());
+  // Hypersparse/dense mixes, on both sides of the bar and in both run
+  // orders (the dense run just over it, the sparse one far under).
+  const Hyper dense = random_run(n, 64, 0, 5, bar + 4, 4000, 7);
+  CHECK(dense.dense());
+  check_hyper_matches_reference({&dense, &a});
+  check_hyper_matches_reference({&a, &dense, &odd});
+  // Empty runs, hypersparse and dense, alone and mixed in.
+  const Hyper empty = Hyper::empty(n, 64);
+  const Hyper empty_small = Hyper::empty(16, 64);
+  CHECK(!empty.dense() && empty_small.dense());
+  check_hyper_matches_reference({&empty, &empty});
+  check_hyper_matches_reference({&empty, &a, &empty});
+  check_hyper_matches_reference({&dense, &empty});
+  check_hyper_matches_reference({&empty_small, &empty_small});
+  // A dense run merged away below the bar by drop_zero: every entry of
+  // the mirror run cancels, leaving only the sparse run's rows.
+  std::vector<double> neg(dense.vals().size());
+  for (std::size_t i = 0; i < neg.size(); ++i) neg[i] = -dense.vals()[i];
+  const Hyper mirror = Hyper::from_dense(n, 64, dense.row_ptr(), dense.cols(),
+                                         std::move(neg));
+  const double zero = 0.0;
+  check_hyper_matches_reference({&dense, &mirror}, &zero);
+  check_hyper_matches_reference({&dense, &odd, &mirror}, &zero);
+  const auto cancelled =
+      sparse::merge_add_k(std::vector<const Hyper*>{&dense, &odd, &mirror},
+                          plus, nullptr, &zero);
+  CHECK(!cancelled.dense());
+  check_hyper_matches_reference({&a, &b}, &zero);
+}
+
+void test_fold_row() {
+  // The single-row fold a snapshot reader runs: every row equals the
+  // materialized merge's row, and a row no run stores emits nothing.
+  const index_t n = 4096;
+  const auto a =
+      std::make_shared<const Hyper>(random_run(n, n, 7, 11, 60, 400, 8));
+  const auto b =
+      std::make_shared<const Hyper>(random_run(n, n, 7, 22, 30, 200, 9));
+  const auto d = std::make_shared<const Hyper>(
+      random_run(n, n, 0, 3, n / sparse::kDenseRowShare + 1, 3000, 10));
+  const algebra::PlusTimes<double> p;
+  for (const auto& runs :
+       {std::vector<std::shared_ptr<const Hyper>>{a, b},
+        std::vector<std::shared_ptr<const Hyper>>{a, d, b}}) {
+    const stream::PinnedSnapshot<algebra::PlusTimes<double>> snap(n, p, 2,
+                                                                  runs);
+    const auto full = snap.materialize();
+    auto scratch = snap.row_scratch();
+    bool rows_ok = true;
+    for (index_t r = 0; r < n; ++r) {
+      std::vector<index_t> cs;
+      std::vector<double> vs;
+      snap.fold_row(r, scratch, [&](index_t c, const double& v) {
+        cs.push_back(c);
+        vs.push_back(v);
+      });
+      const auto want_c = full.row_cols(r);
+      const auto want_v = full.row_vals(r);
+      rows_ok = rows_ok &&
+                std::equal(cs.begin(), cs.end(), want_c.begin(),
+                           want_c.end()) &&
+                std::equal(vs.begin(), vs.end(), want_v.begin(), want_v.end());
+    }
+    CHECK(rows_ok);
+    // Row 8 lies outside every run's row pattern (7 + 11i, 7 + 22i,
+    // 3i); so does the last row.
+    for (const index_t absent : {index_t{8}, n - 1}) {
+      int emitted = 0;
+      snap.fold_row(absent, scratch,
+                    [&](index_t, const double&) { ++emitted; });
+      CHECK_EQ(emitted, 0);
+    }
+  }
+}
+
+void test_csr_round_trip() {
+  // to_csr(from_csr(x)) reproduces x byte for byte, in either layout.
+  std::vector<sparse::Csr<double>> xs;
+  xs.push_back(random_csr(40, 40, 120, 51));
+  xs.push_back(random_run(4096, 30, 5, 7, 20, 90, 52).to_csr());
+  xs.push_back(
+      sparse::Csr<double>(4096, 8, std::vector<index_t>(4097, 0), {}, {}));
+  xs.push_back(sparse::Csr<double>(0, 3, {0}, {}, {}));
+  xs.push_back(random_csr(1, 9, 5, 53));
+  for (const auto& x : xs) {
+    const Hyper h = Hyper::from_csr(x);
+    CHECK(h.is_canonical());
+    CHECK(csr_bitwise_equal(h.to_csr(), x));
+    // Row lookup (direct or through the row-id hash) agrees on every
+    // row, stored or not.
+    bool rows_ok = true;
+    for (index_t r = 0; r < x.nrows(); ++r) {
+      const auto hc = h.row_cols(r);
+      const auto hv = h.row_vals(r);
+      const auto xc = x.row_cols(r);
+      const auto xv = x.row_vals(r);
+      rows_ok = rows_ok &&
+                std::equal(hc.begin(), hc.end(), xc.begin(), xc.end()) &&
+                std::equal(hv.begin(), hv.end(), xv.begin(), xv.end());
+    }
+    CHECK(rows_ok);
+  }
+  CHECK(!Hyper::from_csr(xs[1]).dense());
+  CHECK(Hyper::from_csr(xs[0]).dense());
+}
+
 }  // namespace
 
 int main() {
@@ -234,5 +459,8 @@ int main() {
   test_exception_from_chunk();
   test_shape_mismatch_rejected();
   test_zero_row_matrices();
+  test_hyper_row_sets();
+  test_fold_row();
+  test_csr_round_trip();
   return TEST_MAIN_RESULT();
 }

@@ -320,6 +320,88 @@ void test_concurrent_ingest_snapshot() {
   CHECK(csr_bitwise_equal(builder.adjacency(), oracles.back()));
 }
 
+/// The n-independence trap: a builder over 2^62 vertices ingests small
+/// batches (ids < 1024) and must fold, row for row, exactly like a
+/// builder over 1024 vertices fed the same batches — k ∈ {1, 4} ×
+/// inline and background compaction, no WAL, no BFS, no materialize.
+/// Any Θ(n) allocation left on the ingest, snapshot or fold path asks
+/// for 2^62 + 1 index entries, past `vector::max_size()`, and throws
+/// `std::length_error` before a byte is touched.
+void test_n_independent_ingest() {
+  using PT = algebra::PlusTimes<double>;
+  const index_t huge = index_t{1} << 62;
+  const index_t small = 1024;
+  util::Xoshiro256 rng(0x7a11ULL);
+  std::vector<std::vector<graph::Edge>> batches(24);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    if (b == 5) continue;  // an empty batch rides along
+    const std::size_t m = 1 + rng.next() % 64;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint64_t r = rng.next();
+      batches[b].push_back(
+          {static_cast<index_t>(r % 3 == 0 ? 17 : r % small),
+           static_cast<index_t>((r >> 20) % small),
+           static_cast<double>(1 + (r >> 40) % 9)});
+    }
+  }
+  const auto rows_agree = [&](const stream::PinnedSnapshot<PT>& big,
+                              const stream::PinnedSnapshot<PT>& ref) {
+    auto sb = big.row_scratch();
+    auto sr = ref.row_scratch();
+    bool ok = true;
+    for (index_t r = 0; r < small; ++r) {
+      std::vector<std::pair<index_t, double>> a;
+      std::vector<std::pair<index_t, double>> b;
+      big.fold_row(r, sb,
+                   [&](index_t c, const double& v) { a.emplace_back(c, v); });
+      ref.fold_row(r, sr,
+                   [&](index_t c, const double& v) { b.emplace_back(c, v); });
+      ok = ok && a == b;
+    }
+    // Rows past the small builder's range are stored by no run.
+    for (const index_t r : {small, huge / 2, huge - 1}) {
+      big.fold_row(r, sb, [&](index_t, const double&) { ok = false; });
+    }
+    return ok;
+  };
+  util::ThreadPool pool(3);
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const auto mode :
+         {stream::Compaction::kInline, stream::Compaction::kBackground}) {
+      const stream::Options opts{
+          .weighting = stream::Weighting::kWeighted,
+          .pool = mode == stream::Compaction::kBackground ? &pool : nullptr,
+          .compaction = mode};
+      bool threw = false;
+      try {
+        stream::AdjacencyBuilder<PT> big(huge, shards, PT{}, opts);
+        stream::AdjacencyBuilder<PT> ref(small, shards, PT{}, opts);
+        for (const auto& batch : batches) {
+          big.ingest(batch);
+          ref.ingest(batch);
+          CHECK(rows_agree(big.snapshot(), ref.snapshot()));
+        }
+        big.drain();
+        ref.drain();
+        CHECK(rows_agree(big.snapshot(), ref.snapshot()));
+        const auto bs = big.stats();
+        const auto rs = ref.stats();
+        CHECK_EQ(bs.batches, rs.batches);
+        CHECK_EQ(bs.edges, rs.edges);
+        CHECK_EQ(bs.delta_entries, rs.delta_entries);
+        if (mode == stream::Compaction::kInline) {
+          // Background merge groupings depend on task timing.
+          CHECK_EQ(bs.compactions, rs.compactions);
+          CHECK_EQ(bs.merged_entries, rs.merged_entries);
+        }
+      } catch (const std::length_error&) {
+        threw = true;
+      }
+      CHECK(!threw);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -330,5 +412,6 @@ int main() {
   test_stats_untouched_when_merge_throws();
   test_self_loops_and_parallel_edges_stream();
   test_concurrent_ingest_snapshot();
+  test_n_independent_ingest();
   return TEST_MAIN_RESULT();
 }

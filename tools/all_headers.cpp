@@ -35,6 +35,7 @@
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
+#include "sparse/hypercsr.hpp"
 #include "sparse/merge.hpp"
 #include "sparse/spgemm.hpp"
 #include "stream/adjacency_builder.hpp"
