@@ -2,8 +2,8 @@
 /// \file sparse/csr.hpp
 /// \brief Compressed sparse row matrix, the workhorse storage for
 ///        incidence and adjacency arrays, plus sort-free COO→CSR assembly
-///        with explicit duplicate policies and a parallel counting-sort
-///        `transpose` / `CscView`.
+///        with explicit duplicate policies, a parallel counting-sort
+///        `transpose`, and the two-layout `CscView`.
 ///
 /// Assembly engine (PR 3). `from_coo` no longer comparison-sorts the
 /// entry list. It mirrors the two-pass SpGEMM design (sparse/spgemm.hpp):
@@ -33,7 +33,9 @@
 /// `from_coo_reference` for differential tests and in-bench baselines.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -60,7 +62,49 @@ enum class DupPolicy {
   kMin,        ///< elementwise min
 };
 
+/// The density bar of the two-layout types (`HyperCsr` rows, `CscView`
+/// columns): a matrix stores every row (dense layout) once what it
+/// holds reaches nrows / kDenseRowShare, so the Θ(nrows) pointer costs
+/// at most kDenseRowShare entries per stored item, and only its
+/// non-empty rows (hypersparse layout) below that. At n = 2^12 a
+/// 512-edge batch (~300 rows) clears the bar; at n = 2^20 a 256-edge
+/// delta, a run folding a few dozen of them, or a 16384-edge incidence
+/// array stays hypersparse.
+inline constexpr index_t kDenseRowShare = 32;
+
 namespace detail {
+
+/// The one expansion of a row-id list to a full row pointer. `row_ids`
+/// (strictly increasing, in [0, nrows)) are the stored rows and `ptr`
+/// (|row_ids| + 1 entries) their offsets. Every row after row_ids[s - 1]
+/// up to and including row_ids[s] starts at ptr[s], and every row after
+/// the last stored one at ptr.back(), so the nrows + 1 entries are one
+/// run of equal values per stored row plus a tail: `fill(count, v)`
+/// receives the runs in order, and nothing steps row by row.
+template <typename Fill>
+void expand_row_ptr(index_t nrows, std::span<const index_t> row_ids,
+                    std::span<const index_t> ptr, const Fill& fill) {
+  index_t next = 0;  // the first row not yet covered
+  for (std::size_t s = 0; s < row_ids.size(); ++s) {
+    fill(row_ids[s] + 1 - next, ptr[s]);
+    next = row_ids[s] + 1;
+  }
+  fill(nrows + 1 - next, ptr[row_ids.size()]);
+}
+
+/// `expand_row_ptr` into a new vector: each run is one fill-insert into
+/// reserved storage, so the Θ(nrows) pointer is written exactly once
+/// (no value-initialising pass before the fill).
+inline std::vector<index_t> expanded_row_ptr(index_t nrows,
+                                             std::span<const index_t> row_ids,
+                                             std::span<const index_t> ptr) {
+  std::vector<index_t> out;
+  out.reserve(static_cast<std::size_t>(nrows) + 1);
+  expand_row_ptr(nrows, row_ids, ptr, [&out](index_t count, index_t v) {
+    out.insert(out.end(), static_cast<std::size_t>(count), v);
+  });
+  return out;
+}
 
 /// Shared fork/join driver: serial when no multi-thread pool is given,
 /// chunked otherwise, with per-chunk scratch stable across passes (the
@@ -394,6 +438,17 @@ class Csr {
   const std::vector<index_t>& cols() const { return cols_; }
   const std::vector<T>& vals() const { return vals_; }
 
+  /// This matrix's rows placed at rows `row_ids` (strictly increasing,
+  /// one per row here) of an nrows-row matrix whose other rows are
+  /// empty. The entries move; the nrows + 1 pointer is written in one
+  /// pass of range fills (`detail::expanded_row_ptr`).
+  Csr expand_rows(index_t nrows, std::span<const index_t> row_ids) && {
+    assert(row_ids.size() == static_cast<std::size_t>(nrows_));
+    return Csr(nrows, ncols_,
+               detail::expanded_row_ptr(nrows, row_ids, row_ptr_),
+               std::move(cols_), std::move(vals_));
+  }
+
  private:
   /// The one statement of the canonical-CSR invariants: returns nullptr
   /// when they all hold, else a description of the first violation.
@@ -498,22 +553,45 @@ Csr<T> transpose(const Csr<T>& a, util::ThreadPool* pool = nullptr) {
   return out;
 }
 
-/// Column-major *view* of a Csr: the same counting sort as `transpose`,
-/// but values are never copied — `val_idx_` maps each (col, row) slot
-/// back into the base matrix's `vals()` array. Row `i` of the view is
-/// column `i` of the base matrix with its row indices sorted increasing,
-/// which is exactly the A-operand access pattern the fused AᵀB product
-/// needs. Construction parallelizes with the count/stitch/scatter scheme
-/// when a pool is given (bytes are pool-size independent). The view
-/// borrows the base matrix: it must not outlive it.
+/// Column-major *view* of a Csr: row `i` of the view is column `i` of
+/// the base matrix with its row indices increasing, which is exactly the
+/// A-operand access pattern the fused AᵀB product needs. Values are
+/// never copied — `val_idx_` maps each stored entry back into the base
+/// matrix's `vals()` array. The view borrows the base matrix: it must
+/// not outlive it.
+///
+/// Columns live in *slots*, as `HyperCsr` rows do, in one of two
+/// layouts chosen by the base matrix's entry count:
+///
+///   * **dense** — at least ncols / `kDenseRowShare` entries: slot i is
+///     column i, built by the counting sort `transpose` uses (parallel
+///     count/stitch/scatter when a pool is given; bytes are pool-size
+///     independent). Its Θ(ncols) histogram and pointer cost at most
+///     kDenseRowShare per entry.
+///   * **hypersparse** — fewer entries: `col_ids()` lists the non-empty
+///     columns, increasing, and slot s holds column `col_ids()[s]`. A
+///     stable LSD radix sort of the entries by column builds it in
+///     O(nnz) per 11-bit digit of the column index, so nothing scales
+///     with ncols.
+///
+/// Both layouts keep a column's entries in base-row order and give every
+/// accessor the same bytes. The SpGEMM engine walks the slots
+/// (`num_slots`, `slot_cols`, `gather_slot_vals`); the column accessors
+/// (`row_cols(i)`, `row_nnz(i)`, ...) take any column in [0, nrows())
+/// and find a hypersparse slot by binary search, off the engine's path.
 template <typename T>
 class CscView {
  public:
   explicit CscView(const Csr<T>& base, util::ThreadPool* pool = nullptr)
       : base_(&base),
-        col_ptr_(static_cast<std::size_t>(base.ncols()) + 1, 0),
+        dense_(base.nnz() >= base.ncols() / kDenseRowShare),
         row_idx_(static_cast<std::size_t>(base.nnz())),
         val_idx_(static_cast<std::size_t>(base.nnz())) {
+    if (!dense_) {
+      radix_sort_by_col();
+      return;
+    }
+    col_ptr_.assign(static_cast<std::size_t>(base.ncols()) + 1, 0);
     detail::counting_sort_by_col(
         base, pool, col_ptr_, [&](std::size_t slot, index_t r, index_t idx) {
           row_idx_[slot] = r;
@@ -525,49 +603,137 @@ class CscView {
   index_t nrows() const { return base_->ncols(); }
   index_t ncols() const { return base_->nrows(); }
 
-  index_t row_nnz(index_t i) const {
-    return col_ptr_[static_cast<std::size_t>(i) + 1] -
-           col_ptr_[static_cast<std::size_t>(i)];
+  /// True iff every column has a slot (the class comment's layouts).
+  bool dense() const { return dense_; }
+  /// Hypersparse: the non-empty columns in slot order. Dense: empty.
+  const std::vector<index_t>& col_ids() const { return col_ids_; }
+  index_t num_slots() const {
+    return static_cast<index_t>(col_ptr_.size()) - 1;
   }
 
-  /// Base-matrix row indices stored in column `i` (strictly increasing).
-  std::span<const index_t> row_cols(index_t i) const {
-    const auto b = static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(i)]);
-    return std::span<const index_t>(row_idx_.data() + b,
-                                    static_cast<std::size_t>(row_nnz(i)));
+  /// The slot holding column `i`, or -1 for an empty hypersparse column.
+  index_t slot_of(index_t i) const {
+    if (dense_) return i;
+    const auto it = std::lower_bound(col_ids_.begin(), col_ids_.end(), i);
+    if (it == col_ids_.end() || *it != i) return -1;
+    return static_cast<index_t>(it - col_ids_.begin());
   }
 
-  /// Gather the values of view row `i` (base column `i`) into `scratch`
-  /// and return a span over them, parallel to `row_cols(i)` — the bulk
-  /// form the SpGEMM kernels use so the per-entry indirection through
-  /// `val_idx_` happens once per row. (The CSR-rows counterpart returns
-  /// its contiguous values directly without touching `scratch`.)
-  std::span<const T> gather_row_vals(index_t i,
-                                     std::vector<T>& scratch) const {
-    const auto b = static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(i)]);
-    const auto n = static_cast<std::size_t>(row_nnz(i));
+  /// Base-matrix row indices stored in slot `s` (strictly increasing).
+  std::span<const index_t> slot_cols(index_t s) const {
+    return {row_idx_.data() + slot_begin(s), slot_len(s)};
+  }
+
+  /// Gather the values of slot `s` into `scratch` and return a span over
+  /// them, parallel to `slot_cols(s)` — the bulk form the SpGEMM kernels
+  /// use so the per-entry indirection through `val_idx_` happens once
+  /// per row. (The CSR-rows counterpart returns its contiguous values
+  /// directly without touching `scratch`.)
+  std::span<const T> gather_slot_vals(index_t s,
+                                      std::vector<T>& scratch) const {
+    const std::size_t b = slot_begin(s);
+    const std::size_t n = slot_len(s);
     const auto& base_vals = base_->vals();
     scratch.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
       scratch[k] = base_vals[static_cast<std::size_t>(val_idx_[b + k])];
     }
-    return std::span<const T>(scratch.data(), n);
+    return {scratch.data(), n};
   }
 
-  /// Value parallel to `row_cols(i)[k]`, read through the base matrix.
-  T row_val(index_t i, std::size_t k) const {
+  /// Value parallel to `slot_cols(s)[k]`, read through the base matrix.
+  T slot_val(index_t s, std::size_t k) const {
     return base_->vals()[static_cast<std::size_t>(
-        val_idx_[static_cast<std::size_t>(
-                     col_ptr_[static_cast<std::size_t>(i)]) +
-                 k])];
+        val_idx_[slot_begin(s) + k])];
+  }
+
+  /// The column forms of the slot accessors, for any column `i` in
+  /// [0, nrows()); an empty column reads as an empty row.
+  index_t row_nnz(index_t i) const {
+    return static_cast<index_t>(row_cols(i).size());
+  }
+  std::span<const index_t> row_cols(index_t i) const {
+    const index_t s = slot_of(i);
+    if (s < 0) return {};
+    return slot_cols(s);
+  }
+  std::span<const T> gather_row_vals(index_t i,
+                                     std::vector<T>& scratch) const {
+    const index_t s = slot_of(i);
+    if (s < 0) return {};
+    return gather_slot_vals(s, scratch);
+  }
+  /// Requires k < row_nnz(i).
+  T row_val(index_t i, std::size_t k) const {
+    return slot_val(slot_of(i), k);
   }
 
   const Csr<T>& base() const { return *base_; }
 
  private:
+  std::size_t slot_begin(index_t s) const {
+    return static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(s)]);
+  }
+  std::size_t slot_len(index_t s) const {
+    return static_cast<std::size_t>(
+        col_ptr_[static_cast<std::size_t>(s) + 1] -
+        col_ptr_[static_cast<std::size_t>(s)]);
+  }
+
+  /// The hypersparse build. The entries start in base-row order and
+  /// each LSD pass is a stable counting sort on one 11-bit digit of the
+  /// column, so a column ends with its entries in row order, as the
+  /// dense layout's counting sort leaves them. O(nnz + 2^11) per pass,
+  /// ⌈bit_width(ncols - 1) / 11⌉ passes (two at n = 2^20).
+  void radix_sort_by_col() {
+    struct Entry {
+      index_t col, row, idx;
+    };
+    constexpr int kDigitBits = 11;
+    constexpr index_t kDigitMask = (index_t{1} << kDigitBits) - 1;
+    const Csr<T>& a = *base_;
+    std::vector<Entry> cur(row_idx_.size());
+    std::vector<Entry> next(row_idx_.size());
+    std::size_t k = 0;
+    for (index_t r = 0; r < a.nrows(); ++r) {
+      const index_t b = a.row_ptr()[static_cast<std::size_t>(r)];
+      const auto cs = a.row_cols(r);
+      for (std::size_t j = 0; j < cs.size(); ++j) {
+        cur[k++] = Entry{cs[j], r, b + static_cast<index_t>(j)};
+      }
+    }
+    const auto bits = static_cast<int>(
+        std::bit_width(static_cast<std::uint64_t>(a.ncols() - 1)));
+    std::vector<index_t> start(std::size_t{1} << kDigitBits);
+    for (int shift = 0; shift < bits && !cur.empty(); shift += kDigitBits) {
+      const auto digit = [shift](const Entry& e) {
+        return static_cast<std::size_t>((e.col >> shift) & kDigitMask);
+      };
+      std::fill(start.begin(), start.end(), 0);
+      for (const Entry& e : cur) ++start[digit(e)];
+      index_t total = 0;
+      for (index_t& s : start) total += std::exchange(s, total);
+      for (const Entry& e : cur) {
+        next[static_cast<std::size_t>(start[digit(e)]++)] = e;
+      }
+      cur.swap(next);
+    }
+    for (std::size_t s = 0; s < cur.size(); ++s) {
+      if (col_ids_.empty() || col_ids_.back() != cur[s].col) {
+        col_ids_.push_back(cur[s].col);
+        col_ptr_.push_back(static_cast<index_t>(s));
+      }
+      row_idx_[s] = cur[s].row;
+      val_idx_[s] = cur[s].idx;
+    }
+    col_ptr_.push_back(static_cast<index_t>(cur.size()));
+  }
+
   const Csr<T>* base_;
-  std::vector<index_t> col_ptr_;  // size base.ncols() + 1
-  std::vector<index_t> row_idx_;  // size nnz, sorted within each column
+  bool dense_;
+  std::vector<index_t> col_ids_;  // hypersparse: the non-empty columns
+  std::vector<index_t> col_ptr_;  // slots + 1
+  std::vector<index_t> row_idx_;  // size nnz, sorted within each slot
   std::vector<index_t> val_idx_;  // permutation into base.vals()
 };
 

@@ -19,15 +19,17 @@
 ///     `row_ids` (O(1) expected — the role SuiteSparse:GraphBLAS's
 ///     hyper-hash plays), so a reader's per-row lookup costs what the
 ///     dense layout's does.
-///   * **dense** — once the non-empty rows reach 1/`kDenseRowShare` of
-///     `nrows`, `row_ids` is empty and `row_ptr` has nrows + 1 entries,
-///     exactly a `Csr`: O(1) row lookup, and the Θ(nrows) pointer costs
-///     at most `kDenseRowShare` entries per stored row.
+///   * **dense** — once the non-empty rows reach 1/`kDenseRowShare`
+///     (sparse/csr.hpp) of `nrows`, `row_ids` is empty and `row_ptr` has
+///     nrows + 1 entries, exactly a `Csr`: O(1) row lookup, and the
+///     Θ(nrows) pointer costs at most `kDenseRowShare` entries per
+///     stored row.
 ///
 /// The layout is a function of the content (`is_canonical` checks it),
 /// so two equal matrices have equal bytes in either layout. `from_csr` /
 /// `to_csr` convert at the boundaries that want the classic array (a
-/// materialized snapshot, the checkpoint format).
+/// materialized snapshot, the checkpoint format); every expansion of
+/// row ids to a full pointer goes through `detail::expand_row_ptr`.
 
 #include <algorithm>
 #include <bit>
@@ -42,12 +44,6 @@
 #include "util/contract.hpp"
 
 namespace i2a::sparse {
-
-/// A `HyperCsr` stores every row (dense layout) once its non-empty rows
-/// number at least nrows / kDenseRowShare: at n = 2^12 a 512-edge batch
-/// delta (~300 rows) clears the bar, while at n = 2^20 a 256-edge delta,
-/// or a run folding a few dozen of them, stays hypersparse.
-inline constexpr index_t kDenseRowShare = 32;
 
 template <typename T>
 class HyperCsr {
@@ -73,12 +69,7 @@ class HyperCsr {
     out.cols_ = std::move(cols);
     out.vals_ = std::move(vals);
     if (dense_layout(nrows, static_cast<index_t>(row_ids.size()))) {
-      out.row_ptr_.assign(static_cast<std::size_t>(nrows) + 1, 0);
-      std::size_t s = 0;
-      for (index_t r = 0; r <= nrows; ++r) {
-        while (s < row_ids.size() && row_ids[s] < r) ++s;
-        out.row_ptr_[static_cast<std::size_t>(r)] = row_ptr[s];
-      }
+      out.row_ptr_ = detail::expanded_row_ptr(nrows, row_ids, row_ptr);
     } else {
       out.dense_ = false;
       out.row_ids_ = std::move(row_ids);
@@ -125,12 +116,23 @@ class HyperCsr {
                      std::move(row_ptr), a.cols(), a.vals());
   }
 
-  /// The classic array with the same content: O(nrows + nnz).
-  Csr<T> to_csr() const {
-    std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows_) + 1);
-    std::size_t r = 0;
-    for_each_csr_row_ptr([&](index_t v) { row_ptr[r++] = v; });
-    return Csr<T>(nrows_, ncols_, std::move(row_ptr), cols_, vals_);
+  /// The classic array with the same content: O(nrows + nnz), the
+  /// entries copied.
+  Csr<T> to_csr() const& {
+    return Csr<T>(nrows_, ncols_,
+                  dense_ ? row_ptr_
+                         : detail::expanded_row_ptr(nrows_, row_ids_,
+                                                    row_ptr_),
+                  cols_, vals_);
+  }
+  /// `to_csr` of a matrix about to be dropped: the entries move, so only
+  /// a hypersparse pointer's Θ(nrows) expansion is left to pay.
+  Csr<T> to_csr() && {
+    std::vector<index_t> row_ptr =
+        dense_ ? std::move(row_ptr_)
+               : detail::expanded_row_ptr(nrows_, row_ids_, row_ptr_);
+    return Csr<T>(nrows_, ncols_, std::move(row_ptr), std::move(cols_),
+                  std::move(vals_));
   }
 
   /// Call `f(v)` with each of the nrows + 1 entries of the equivalent
@@ -141,11 +143,10 @@ class HyperCsr {
       for (const index_t v : row_ptr_) f(v);
       return;
     }
-    std::size_t s = 0;
-    for (index_t r = 0; r <= nrows_; ++r) {
-      while (s < row_ids_.size() && row_ids_[s] < r) ++s;
-      f(row_ptr_[s]);
-    }
+    detail::expand_row_ptr(nrows_, row_ids_, row_ptr_,
+                           [&f](index_t count, index_t v) {
+                             for (index_t k = 0; k < count; ++k) f(v);
+                           });
   }
 
   /// True iff the layout is dense (every row stored).

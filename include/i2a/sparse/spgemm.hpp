@@ -86,6 +86,22 @@ struct CsrRowsView {
   }
 };
 
+/// A `CscView`'s slots as the engine's rows: every column in the dense
+/// layout, only the non-empty ones in the hypersparse layout, so the
+/// product walks the stored columns and nothing else. `spgemm_at_b`
+/// places the product's rows back at their column ids.
+template <typename T>
+struct CscSlotsView {
+  const CscView<T>& v;
+  index_t nrows() const { return v.num_slots(); }
+  std::span<const index_t> row_cols(index_t s) const { return v.slot_cols(s); }
+  T row_val(index_t s, std::size_t k) const { return v.slot_val(s, k); }
+  std::span<const T> gather_row_vals(index_t s,
+                                     std::vector<T>& scratch) const {
+    return v.gather_slot_vals(s, scratch);
+  }
+};
+
 /// Intermediate-product count of output row `i`: Σ_k |B(k,:)| over the
 /// stored k of A(i,:). Upper-bounds the row nnz; exact when no column
 /// collides.
@@ -457,7 +473,13 @@ Csr<typename P::value_type> spgemm_chunk_slab(
             std::max<index_t>(index_t{1} << 20, 2 * b.nnz());
         index_t ub = 0;
         if (total_flops_hint >= 0) {
-          ub = total_flops_hint * (hi - lo) / (nrows > 0 ? nrows : 1);
+          // The hint's share for rows [lo, hi), scaled in double and
+          // capped before it returns to index_t: hint · (hi - lo) in
+          // index_t overflows once it passes 2^63.
+          ub = static_cast<index_t>(std::min(
+              static_cast<double>(total_flops_hint) *
+                  static_cast<double>(hi - lo) / static_cast<double>(nrows),
+              static_cast<double>(reserve_cap)));
         } else {
           for (index_t i = lo; i < hi; ++i) {
             ub += std::min(row_flops(a, b, i), b_ncols);
@@ -704,6 +726,10 @@ Csr<typename P::value_type> spgemm(const P& p,
 
 /// C = Aᵀ ⊕.⊗ B — the paper's product shape (A and B are both tall
 /// edge×vertex incidence arrays) — fused over a prebuilt CSC view of A.
+/// The engine runs over the view's slots; a hypersparse view's product
+/// comes out one row per stored column and `expand_rows` places those
+/// rows in the n-row result with one Θ(n) pass of range fills, the only
+/// step that scales with n. Bytes do not depend on the view's layout.
 /// Build the view once per incidence array and amortize it across
 /// products (forward + reverse adjacency, repeated algebra sweeps).
 template <typename P>
@@ -713,18 +739,21 @@ Csr<typename P::value_type> spgemm_at_b(
     const Csr<typename P::value_type>& b,
     SpGemmAlgo algo = SpGemmAlgo::kGustavson,
     util::ThreadPool* pool = nullptr) {
+  using T = typename P::value_type;
   I2A_EXPECTS(at.ncols() == b.nrows(),
               "spgemm_at_b: inner dimensions disagree");
   I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
-  auto c = detail::spgemm_two_pass(p, at, b, algo, pool);
+  auto c = detail::spgemm_two_pass(p, detail::CscSlotsView<T>{at}, b, algo,
+                                   pool);
+  if (!at.dense()) c = std::move(c).expand_rows(at.nrows(), at.col_ids());
   I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
   return c;
 }
 
 /// C = Aᵀ ⊕.⊗ B convenience overload: builds the CSC view internally
-/// (on the pool, when one is given — the view's counting sort chunks the
-/// same way the product does). Structure-only counting sort — unlike the
-/// old `transpose(a)` path, no value array is ever copied or re-laid-out.
+/// (a dense view's counting sort runs on the pool, when one is given —
+/// it chunks the same way the product does). Structure only: no value
+/// array is ever copied or re-laid-out.
 template <typename P>
   requires algebra::Semiring<P>
 Csr<typename P::value_type> spgemm_at_b(
@@ -735,11 +764,8 @@ Csr<typename P::value_type> spgemm_at_b(
   I2A_EXPECTS(a.nrows() == b.nrows(),
               "spgemm_at_b: Aᵀ inner dimension disagrees with B");
   I2A_EXPECTS(a.is_canonical(), "spgemm_at_b: A not canonical CSR");
-  I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
-  const CscView<typename P::value_type> at(a, pool);
-  auto c = detail::spgemm_two_pass(p, at, b, algo, pool);
-  I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
-  return c;
+  return spgemm_at_b(p, CscView<typename P::value_type>(a, pool), b, algo,
+                     pool);
 }
 
 }  // namespace i2a::sparse

@@ -5,9 +5,14 @@
 ///        all produce byte-identical results under pool sizes {1, 2, 8}
 ///        and serially — the construction-side counterpart of
 ///        test_spgemm_determinism. Full-precision real values throughout,
-///        so any chunking-dependent reorder would flip bits.
+///        so any chunking-dependent reorder would flip bits. At n = 2^20
+///        with 16384 R-MAT edges — the hypersparse incidence view, below
+///        the kDenseRowShare bar — `build_adjacency` must also equal the
+///        direct per-edge fold (`fold_adjacency`) byte for byte.
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "algebra/pairs.hpp"
@@ -158,6 +163,50 @@ void test_incidence_and_end_to_end_pool_size_invariance() {
   }
 }
 
+/// The hypersparse one-shot build against the streaming builder's
+/// staging fold, which shares no code with it past the incidence draw:
+/// n = 2^20, the first 16384 edges of an R-MAT stream, unweighted and
+/// weighted, every pool size.
+void test_hypersparse_build_matches_fold() {
+  util::ThreadPool pool1(1), pool2(2), pool8(8);
+  const algebra::PlusTimes<double> p;
+  auto g = graph::gen::rmat(20, 1, 0.57, 0.19, 0.19, 2);
+  g.edges().resize(16384);
+  graph::gen::randomize_weights(g, 0.5, 3.5, 3);
+  const std::span<const graph::Edge> edges(g.edges());
+  const auto inc = graph::incidence_arrays(g, p);
+  CHECK(!sparse::CscView<double>(inc.eout).dense());
+  const auto hyper = graph::fold_adjacency(p, edges, g.num_vertices(),
+                                           graph::unweighted_draw(p));
+  const auto fold = hyper.to_csr();
+  const auto wfold =
+      graph::fold_adjacency(p, edges, g.num_vertices(),
+                            graph::weighted_draw(p, edges))
+          .to_csr();
+  const auto serial = graph::build_adjacency(g, p);
+  CHECK(identical(serial, fold));
+  // Row by row through the fold's row-id lookup, which shares no code
+  // with the row-pointer expansion both conversions above go through.
+  bool rows_match = serial.nrows() == hyper.nrows();
+  for (index_t r = 0; rows_match && r < serial.nrows(); ++r) {
+    const auto hc = hyper.row_cols(r);
+    const auto hv = hyper.row_vals(r);
+    const auto sc = serial.row_cols(r);
+    const auto sv = serial.row_vals(r);
+    rows_match = std::equal(hc.begin(), hc.end(), sc.begin(), sc.end()) &&
+                 std::equal(hv.begin(), hv.end(), sv.begin(), sv.end());
+  }
+  CHECK(rows_match);
+  for (util::ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+    CHECK(identical(
+        graph::build_adjacency(g, p, sparse::SpGemmAlgo::kAuto, pool), fold));
+    CHECK(identical(graph::adjacency_array(
+                        p, graph::weighted_incidence_arrays(g, p, pool),
+                        sparse::SpGemmAlgo::kAuto, pool),
+                    wfold));
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -165,5 +214,6 @@ int main() {
   test_transpose_and_view_pool_size_invariance();
   test_generators_pool_size_invariance();
   test_incidence_and_end_to_end_pool_size_invariance();
+  test_hypersparse_build_matches_fold();
   return TEST_MAIN_RESULT();
 }

@@ -4,6 +4,7 @@
 ///        and thread-pooled.
 
 #include <cmath>
+#include <limits>
 
 #include "algebra/pairs.hpp"
 #include "sparse/csr.hpp"
@@ -73,6 +74,31 @@ void test_at_b_matches_explicit_transpose() {
   CHECK_EQ(via_helper.ncols(), 17);
 }
 
+/// The chunk-slab engine reads its flops hint only to size a reserve. A
+/// hint whose product with a chunk's row count passes 2^63 used to
+/// overflow in index_t; the product must come out exact regardless,
+/// serial and chunked, on both kernels the engine runs.
+void test_chunk_slab_oversized_flops_hint() {
+  const algebra::PlusTimes<double> p;
+  const auto a = random_csr(6, 5, 14, 21);
+  const auto b = random_csr(5, 7, 12, 22);
+  const auto ref = sparse::spgemm(p, a, b, sparse::SpGemmAlgo::kGustavson);
+  util::ThreadPool pool(4);
+  const sparse::detail::CsrRowsView<double> av{a};
+  for (const index_t hint : {std::numeric_limits<index_t>::max(),
+                             std::numeric_limits<index_t>::max() / 3}) {
+    for (const auto algo :
+         {sparse::SpGemmAlgo::kGustavson, sparse::SpGemmAlgo::kHeap}) {
+      for (util::ThreadPool* pl : {static_cast<util::ThreadPool*>(nullptr),
+                                   &pool}) {
+        CHECK(i2a::test::csr_bitwise_equal(
+            sparse::detail::spgemm_chunk_slab(p, av, b, algo, pl, hint),
+            ref));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -81,5 +107,6 @@ int main() {
   check_all_algos_agree(algebra::MinPlus<double>{}, 13);
   check_all_algos_agree(algebra::MaxMin<double>{}, 14);
   test_at_b_matches_explicit_transpose();
+  test_chunk_slab_oversized_flops_hint();
   return TEST_MAIN_RESULT();
 }
