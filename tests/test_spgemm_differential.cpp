@@ -189,8 +189,8 @@ void test_view_layouts() {
   CHECK(view_matches_transpose(single));
   CHECK_EQ(sparse::CscView<double>(single).num_slots(), 1);
   // Two radix digits, several entries per row, the last column used.
-  auto wide = random_cols_csr(50, index_t{1} << 16, 300, 0,
-                              (index_t{1} << 16) - 1, 77);
+  const auto wide = random_cols_csr(50, index_t{1} << 16, 300, 0,
+                                    (index_t{1} << 16) - 1, 77);
   CHECK(view_matches_transpose(wide));
   const auto last = csr_of(3, index_t{1} << 16,
                            {{0, (index_t{1} << 16) - 1, 1.5},
