@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -29,9 +30,13 @@
 #include <unistd.h>
 
 #include "algebra/pairs.hpp"
+#include "graph/generators.hpp"
 #include "graph/incidence.hpp"
+#include "sparse/merge.hpp"
 #include "stream/adjacency_builder.hpp"
 #include "util/io.hpp"
+#include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -192,6 +197,76 @@ void BM_RebuildPerBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(g.edges().size()));
 }
 BENCHMARK(BM_RebuildPerBatch)->Arg(8)->Arg(32)->Arg(128);
+
+/// The ladder's k-way merges alone, on the ingest-hypersparse round
+/// shape: 64 batches of 256 R-MAT edges, each folded to a delta outside
+/// the timed loop, settled by the builder's policy (merge the longest
+/// suffix in which each run weighs at most the runs after it). The
+/// iteration time also copies each delta in; `merge_ms_per_round` and
+/// `ns_per_merged_entry` time the `merge_add_k` calls alone, the latter
+/// per entry the merges write. Args: log2 n, pool threads (0 = serial).
+void BM_LadderMerge(benchmark::State& state) {
+  const int scale = static_cast<int>(state.range(0));
+  const index_t n = index_t{1} << scale;
+  constexpr std::size_t kBatches = 64;
+  constexpr std::size_t kBatchEdges = 256;
+  const auto g = graph::gen::rmat(
+      scale, std::max<index_t>(1, index_t{kBatches * kBatchEdges} >> scale),
+      0.57, 0.19, 0.19, 2);
+  const algebra::PlusTimes<double> p;
+  using Run = std::pair<sparse::HyperCsr<double>, std::uint64_t>;
+  std::vector<sparse::HyperCsr<double>> deltas;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    const std::span<const graph::Edge> batch(
+        g.edges().data() + b * kBatchEdges, kBatchEdges);
+    deltas.push_back(
+        graph::fold_adjacency(p, batch, n, graph::unweighted_draw(p)));
+  }
+  std::unique_ptr<util::ThreadPool> pool;
+  if (state.range(1) > 0) {
+    pool = std::make_unique<util::ThreadPool>(
+        static_cast<std::size_t>(state.range(1)));
+  }
+  const auto add = [](const double& x, const double& y) { return x + y; };
+  std::uint64_t merged = 0;
+  double merge_s = 0.0;
+  for (auto _ : state) {
+    std::vector<Run> runs;
+    for (const auto& d : deltas) {
+      runs.emplace_back(d, 1);
+      for (;;) {
+        std::size_t lo = runs.size() - 1;
+        std::uint64_t tail = runs[lo].second;
+        while (lo > 0 && runs[lo - 1].second <= tail) {
+          tail += runs[--lo].second;
+        }
+        if (runs.size() - lo < 2) break;
+        std::vector<const sparse::HyperCsr<double>*> group;
+        for (std::size_t i = lo; i < runs.size(); ++i) {
+          group.push_back(&runs[i].first);
+        }
+        const util::Timer t;
+        auto m = sparse::merge_add_k(group, add, pool.get());
+        merge_s += t.seconds();
+        merged += static_cast<std::uint64_t>(m.nnz());
+        runs.resize(lo + 1);
+        runs[lo] = Run{std::move(m), tail};
+      }
+    }
+    benchmark::DoNotOptimize(runs.data());
+  }
+  const auto rounds = static_cast<double>(state.iterations());
+  state.counters["merge_ms_per_round"] = merge_s * 1e3 / rounds;
+  state.counters["ns_per_merged_entry"] =
+      merge_s * 1e9 / static_cast<double>(merged);
+  state.counters["merged_entries_per_round"] =
+      static_cast<double>(merged) / rounds;
+}
+BENCHMARK(BM_LadderMerge)
+    ->Args({20, 0})
+    ->Args({16, 0})
+    ->Args({16, 4})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -597,9 +597,10 @@ Csr<typename P::value_type> spgemm_two_pass(
     }
     index_t total_flops = 0;
     for (index_t i = 0; i < nrows; ++i) {
-      total_flops += flops_cache[static_cast<std::size_t>(i)];
+      total_flops =
+          checked_add(total_flops, flops_cache[static_cast<std::size_t>(i)]);
     }
-    if (total_flops < 32 * nrows) {
+    if (total_flops < checked_mul(32, nrows)) {
       return spgemm_chunk_slab(
           p, a, b,
           b_ncols <= (index_t{1} << 15) ? SpGemmAlgo::kGustavson

@@ -109,7 +109,7 @@ class PinnedSnapshot {
         [this](const value_type& x, const value_type& y) {
           return p_.add(x, y);
         },
-        true, emit);
+        emit);
   }
 
   /// Convenience `fold_row` with throwaway scratch — fine for one-off

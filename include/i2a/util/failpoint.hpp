@@ -5,7 +5,7 @@
 ///        deterministically (DESIGN.md §10).
 ///
 /// A *failpoint* is a named site in library code — `I2A_FAILPOINT(
-/// "merge.scatter.alloc")` — that normally does nothing, but can be
+/// "merge.output.alloc")` — that normally does nothing, but can be
 /// *armed* by a test to throw on a chosen schedule: the next evaluation,
 /// the nth evaluation, every evaluation, or a seeded coin flip per
 /// evaluation. Sites stand in for the real failures that are hard to

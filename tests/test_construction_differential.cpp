@@ -1,13 +1,15 @@
 /// \file test_construction_differential.cpp
 /// \brief The sort-free assembly engine must be indistinguishable from
 ///        the stable-sort reference: `Csr::from_coo` vs
-///        `Csr::from_coo_reference` across every `DupPolicy`, on inputs
+///        the stable-sort `from_coo_reference` (defined here: a test
+///        oracle, not API) across every `DupPolicy`, on inputs
 ///        with heavy duplicates, shuffled order, empty rows, and empty
 ///        matrices — serial and under pools {1, 4}, compared bitwise
 ///        (both fold a (row, col) group's duplicates in push order, so
 ///        even FP kSum must agree bit for bit). The direct incidence
 ///        assembly is likewise pinned to the old COO + reference path.
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -30,6 +32,45 @@ bool identical(const sparse::Csr<double>& a, const sparse::Csr<double>& b) {
   return i2a::test::csr_bitwise_equal(a, b);
 }
 
+/// The stable-sort assembly `from_coo` replaced, kept as the oracle:
+/// sort entries by (row, col) keeping push order within a group (which
+/// is what gives kKeepFirst / kKeepLast their meaning), then fold each
+/// group left. Shares no code with the engine.
+sparse::Csr<double> from_coo_reference(sparse::Coo<double> coo,
+                                       sparse::DupPolicy policy) {
+  auto& e = coo.entries();
+  std::stable_sort(e.begin(), e.end(), [](const auto& a, const auto& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(coo.nrows()) + 1, 0);
+  std::vector<index_t> cols;
+  std::vector<double> vals;
+  for (std::size_t i = 0; i < e.size();) {
+    const index_t r = e[i].row;
+    const index_t c = e[i].col;
+    double acc = e[i].val;
+    std::size_t j = i + 1;
+    for (; j < e.size() && e[j].row == r && e[j].col == c; ++j) {
+      switch (policy) {
+        case sparse::DupPolicy::kSum: acc = acc + e[j].val; break;
+        case sparse::DupPolicy::kKeepFirst: break;
+        case sparse::DupPolicy::kKeepLast: acc = e[j].val; break;
+        case sparse::DupPolicy::kMax: acc = std::max(acc, e[j].val); break;
+        case sparse::DupPolicy::kMin: acc = std::min(acc, e[j].val); break;
+      }
+    }
+    cols.push_back(c);
+    vals.push_back(acc);
+    ++row_ptr[static_cast<std::size_t>(r) + 1];
+    i = j;
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(coo.nrows()); ++r) {
+    row_ptr[r + 1] += row_ptr[r];
+  }
+  return sparse::Csr<double>(coo.nrows(), coo.ncols(), std::move(row_ptr),
+                             std::move(cols), std::move(vals));
+}
+
 constexpr sparse::DupPolicy kPolicies[] = {
     sparse::DupPolicy::kSum, sparse::DupPolicy::kKeepFirst,
     sparse::DupPolicy::kKeepLast, sparse::DupPolicy::kMax,
@@ -42,7 +83,7 @@ template <typename MakeCoo>
 void check_against_reference(const MakeCoo& make) {
   util::ThreadPool pool1(1), pool4(4);
   for (const auto policy : kPolicies) {
-    const auto ref = sparse::Csr<double>::from_coo_reference(make(), policy);
+    const auto ref = from_coo_reference(make(), policy);
     CHECK(identical(sparse::Csr<double>::from_coo(make(), policy), ref));
     CHECK(identical(sparse::Csr<double>::from_coo(make(), policy, &pool1),
                     ref));
@@ -148,10 +189,8 @@ graph::IncidencePair<double> incidence_via_reference(const graph::Graph& g,
     in.push(e, edges[static_cast<std::size_t>(e)].dst, draw(e, false));
   }
   return graph::IncidencePair<double>{
-      sparse::Csr<double>::from_coo_reference(std::move(out),
-                                              sparse::DupPolicy::kKeepFirst),
-      sparse::Csr<double>::from_coo_reference(std::move(in),
-                                              sparse::DupPolicy::kKeepFirst)};
+      from_coo_reference(std::move(out), sparse::DupPolicy::kKeepFirst),
+      from_coo_reference(std::move(in), sparse::DupPolicy::kKeepFirst)};
 }
 
 void test_incidence_direct_vs_reference() {

@@ -17,6 +17,8 @@
 #define I2A_CONTRACT_VIOLATION_THROWS 1
 #endif
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -225,11 +227,39 @@ void test_clean_paths_stay_quiet() {
   CHECK_EQ(builder.adjacency().nnz(), 2);
 }
 
+/// True iff `f()` throws std::overflow_error.
+template <typename F>
+bool overflows(const F& f) {
+  try {
+    (void)f();
+  } catch (const std::overflow_error&) {
+    return true;
+  }
+  return false;
+}
+
+void test_checked_arithmetic() {
+  // Near INT64_MAX the checked helpers throw instead of wrapping (signed
+  // overflow is UB); just inside the range they return the exact value.
+  constexpr index_t kMax = std::numeric_limits<index_t>::max();
+  constexpr index_t kMin = std::numeric_limits<index_t>::min();
+  CHECK_EQ(checked_add(kMax - 1, 1), kMax);
+  CHECK_EQ(checked_add(kMin, kMax), -1);
+  CHECK(overflows([&] { return checked_add(kMax, 1); }));
+  CHECK(overflows([&] { return checked_add(kMax / 2 + 1, kMax / 2 + 1); }));
+  CHECK(overflows([&] { return checked_add(kMin, -1); }));
+  CHECK_EQ(checked_mul(kMax / 32, 32), kMax / 32 * 32);
+  CHECK(overflows([&] { return checked_mul(kMax / 32 + 1, 32); }));
+  const index_t two32 = index_t{1} << 32;
+  CHECK(overflows([&] { return checked_mul(two32, two32 / 2); }));
+}
+
 }  // namespace
 
 int main() {
   test_macro_mechanics();
   test_kernel_boundaries_reject_corruption();
   test_clean_paths_stay_quiet();
+  test_checked_arithmetic();
   return TEST_MAIN_RESULT();
 }

@@ -110,8 +110,8 @@ const std::vector<std::string> kSites = {
     "checkpoint.write",
     "incidence.assemble.alloc",
     "incidence.fold.alloc",
-    "merge.count.scratch",
-    "merge.scatter.alloc",
+    "merge.output.alloc",
+    "merge.scratch",
     "recover.replay",
     "spgemm.numeric.alloc",
     "wal.append.fsync",
@@ -130,8 +130,8 @@ const std::vector<std::string> kSweepSites = {
     "builder.ladder.splice",
     "builder.stage.batch",
     "incidence.fold.alloc",
-    "merge.count.scratch",
-    "merge.scatter.alloc",
+    "merge.output.alloc",
+    "merge.scratch",
 };
 
 void test_registry_mechanics() {
@@ -426,7 +426,7 @@ void test_repeated_background_failures() {
   const auto batches = make_batches(g, 16);
   util::ThreadPool workerless(1);
   auto& reg = Reg::instance();
-  const char* site = "merge.count.scratch";
+  const char* site = "merge.scratch";
   const std::uint64_t fired_before = reg.fired(site);
   Builder bg(n, p,
              {.pool = &workerless,
@@ -544,7 +544,7 @@ void test_destructor_error_contract() {
     Builder b = mk();
     b.ingest(batches[0]);  // one settled run at level 0
     {
-      util::ScopedFailpoint fp("merge.count.scratch", Sched::always());
+      util::ScopedFailpoint fp("merge.scratch", Sched::always());
       b.ingest(batches[1]);  // carry merge fails inline, failure queued
     }
     CHECK(b.snapshot().pending_error() != nullptr);
@@ -563,7 +563,7 @@ void test_destructor_error_contract() {
     Builder b = mk();
     b.ingest(batches[0]);
     {
-      util::ScopedFailpoint fp("merge.count.scratch", Sched::always());
+      util::ScopedFailpoint fp("merge.scratch", Sched::always());
       b.ingest(batches[1]);
     }
     bool threw = false;

@@ -13,6 +13,7 @@
 ///        explicitly.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -37,6 +38,11 @@ using i2a::test::csr_bitwise_equal;
 using Hyper = sparse::HyperCsr<double>;
 
 double plus(const double& a, const double& b) { return a + b; }
+
+/// The thread pools every differential runs under (besides serial): a
+/// pooled merge cuts its chunks at stored rows, so odd sizes and more
+/// threads than rows put chunk boundaries everywhere.
+constexpr std::size_t kPools[] = {1, 2, 3, 4, 8};
 
 /// Serial oracle for the differential tests (the `from_coo_reference`
 /// pattern): per row, concatenate the runs' entries in run order, stable
@@ -101,13 +107,13 @@ sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
   return sparse::Csr<double>::from_coo(std::move(coo));
 }
 
-/// Engine vs oracle across pool sizes {serial, 1, 4, 8}, bitwise.
+/// Engine vs oracle across pool sizes {serial, 1, 2, 3, 4, 8}, bitwise.
 void check_matches_reference(const std::vector<const sparse::Csr<double>*>& runs,
                              const double* drop_zero = nullptr) {
   const auto expected = merge_add_reference(runs, plus, drop_zero);
   const auto serial = sparse::merge_add_k(runs, plus, nullptr, drop_zero);
   CHECK(csr_bitwise_equal(serial, expected));
-  for (const std::size_t threads : {1u, 4u, 8u}) {
+  for (const std::size_t threads : kPools) {
     util::ThreadPool pool(threads);
     const auto got = sparse::merge_add_k(runs, plus, &pool, drop_zero);
     CHECK(csr_bitwise_equal(got, expected));
@@ -219,8 +225,7 @@ void test_explicit_zero_entries() {
 
 void test_exception_from_chunk() {
   // ⊕ throwing inside a worker chunk must surface on the caller, under
-  // every pool size, for both the value-reading count pass (drop_zero
-  // set) and the scatter pass.
+  // every pool size, with and without zero-dropping.
   const auto a = random_csr(64, 32, 300, 31);
   const auto b = random_csr(64, 32, 300, 32);
   struct Boom {};
@@ -299,7 +304,7 @@ Hyper random_run(index_t nr, index_t nc, index_t rows_from, index_t stride,
 }
 
 /// The HyperCsr engine vs the oracle over the runs' classic arrays,
-/// across pool sizes {serial, 1, 4, 8}: same content, and the canonical
+/// across pool sizes {serial, 1, 2, 3, 4, 8}: same content, and the canonical
 /// layout for that content (so also the same bytes).
 void check_hyper_matches_reference(const std::vector<const Hyper*>& runs,
                                    const double* drop_zero = nullptr) {
@@ -315,7 +320,7 @@ void check_hyper_matches_reference(const std::vector<const Hyper*>& runs,
            got.cols() == want.cols() && got.vals() == want.vals();
   };
   CHECK(same(sparse::merge_add_k(runs, plus, nullptr, drop_zero)));
-  for (const std::size_t threads : {1u, 4u, 8u}) {
+  for (const std::size_t threads : kPools) {
     util::ThreadPool pool(threads);
     CHECK(same(sparse::merge_add_k(runs, plus, &pool, drop_zero)));
   }
@@ -448,6 +453,146 @@ void test_csr_round_trip() {
   CHECK(Hyper::from_csr(xs[0]).dense());
 }
 
+
+/// A run storing `vals[i]` at (rows[i], cols[i]); entries sharing a row
+/// must come in increasing column order.
+Hyper run_of(index_t n, const std::vector<index_t>& rows,
+             const std::vector<index_t>& cols,
+             const std::vector<double>& vals) {
+  sparse::Coo<double> coo(n, n);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    coo.push(rows[i], cols[i], vals[i]);
+  }
+  return Hyper::from_csr(sparse::Csr<double>::from_coo(std::move(coo)));
+}
+
+void test_single_fold() {
+  // ⊕ runs once per fold: Σ input nnz − (cells of the merge) times, with
+  // or without zero-dropping (a dropped cell is folded, then skipped),
+  // under every pool size.
+  const index_t n = 4096;
+  const Hyper a = random_run(n, 64, 0, 1, 300, 3000, 61);   // dense
+  const Hyper b = random_run(n, 64, 5, 7, 90, 600, 62);     // hypersparse
+  const Hyper c = random_run(n, 64, 5, 14, 40, 200, 63);
+  std::vector<double> neg(c.vals().size());
+  for (std::size_t i = 0; i < neg.size(); ++i) neg[i] = -c.vals()[i];
+  const Hyper mirror = Hyper::from_rows(n, 64, c.row_ids(), c.row_ptr(),
+                                        c.cols(), std::move(neg));
+  const std::vector<const Hyper*> runs = {&a, &b, &c, &mirror};
+  const std::vector<const Hyper*> sparse_runs = {&b, &c, &mirror};
+  const double zero = 0.0;
+  for (const auto* rs : {&runs, &sparse_runs}) {
+    index_t in = 0;
+    for (const Hyper* h : *rs) in += h->nnz();
+    const index_t cells = sparse::merge_add_k(*rs, plus).nnz();
+    for (const double* dz : {static_cast<const double*>(nullptr), &zero}) {
+      std::atomic<index_t> calls{0};
+      const auto counting = [&calls](const double& x, const double& y) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return x + y;
+      };
+      const auto serial = sparse::merge_add_k(*rs, counting, nullptr, dz);
+      CHECK_EQ(calls.load(), in - cells);
+      if (dz != nullptr) CHECK(serial.nnz() < cells);  // the mirror cancels
+      for (const std::size_t threads : kPools) {
+        util::ThreadPool pool(threads);
+        calls = 0;
+        (void)sparse::merge_add_k(*rs, counting, &pool, dz);
+        CHECK_EQ(calls.load(), in - cells);
+      }
+    }
+  }
+}
+
+void test_chunk_boundaries() {
+  // Randomized k-way shapes (k up to 8) against the oracle under every
+  // pool size: rows some runs store and others do not, runs with 0–3
+  // stored rows (fewer rows than threads), and runs on both sides of
+  // the density bar (n = 256: the bar is 8 rows), with and without
+  // zero-dropping.
+  const double zero = 0.0;
+  util::Xoshiro256 rng(71);
+  for (const index_t n : {index_t{1}, index_t{5}, index_t{256}, index_t{4096}}) {
+    const index_t bar = std::max<index_t>(1, n / sparse::kDenseRowShare);
+    for (int trial = 0; trial < 12; ++trial) {
+      const auto k = static_cast<std::size_t>(1 + rng.next() % 8);
+      std::vector<Hyper> owned;
+      for (std::size_t i = 0; i < k; ++i) {
+        const index_t choices[] = {0, 1, 2, 3, bar - 1, bar, bar + 1};
+        const index_t want = std::min(n, choices[rng.next() % 7]);
+        // Rows from a shared stride-3 pool (runs overlap) or all rows.
+        const index_t stride = rng.next() % 2 == 0 ? 1 : 3;
+        sparse::Coo<double> coo(n, 64);
+        for (index_t j = 0; j < want; ++j) {
+          const index_t r = (j * stride + static_cast<index_t>(rng.next() % 2)) % n;
+          for (int e = 0; e < 3; ++e) {
+            // Values in {-2, …, 2}: folds cancel to zero often.
+            coo.push(r, static_cast<index_t>(rng.next() % 64),
+                     static_cast<double>(static_cast<int>(rng.next() % 5) - 2));
+          }
+        }
+        owned.push_back(
+            Hyper::from_csr(sparse::Csr<double>::from_coo(std::move(coo))));
+      }
+      std::vector<const Hyper*> runs;
+      for (const auto& h : owned) runs.push_back(&h);
+      check_hyper_matches_reference(runs);
+      check_hyper_matches_reference(runs, &zero);
+    }
+  }
+  // Chunks that drop everything: the first 8 of 16 rows cancel, so with
+  // 8 threads (16 pivot rows → 8 chunks of 2) four chunks write nothing.
+  std::vector<index_t> rows;
+  std::vector<index_t> cols;
+  std::vector<double> vals;
+  std::vector<double> negs;
+  for (index_t r = 0; r < 16; ++r) {
+    rows.push_back(r * 100);
+    cols.push_back(r % 7);
+    vals.push_back(static_cast<double>(r + 1));
+    if (r < 8) negs.push_back(-static_cast<double>(r + 1));
+  }
+  const Hyper a = run_of(4096, rows, cols, vals);
+  const Hyper b = run_of(4096, {rows.begin(), rows.begin() + 8},
+                         {cols.begin(), cols.begin() + 8}, negs);
+  check_hyper_matches_reference({&a, &b}, &zero);
+  check_hyper_matches_reference({&b, &a}, &zero);
+  util::ThreadPool pool(8);
+  const auto half = sparse::merge_add_k(std::vector<const Hyper*>{&a, &b},
+                                        plus, &pool, &zero);
+  CHECK_EQ(half.nnz(), 8);
+  CHECK_EQ(half.row_ids().front(), 800);
+}
+
+void test_fp_fold_order() {
+  // One cell across three runs, FP values whose sum depends on the fold
+  // order: (1e16 ⊕ 1) ⊕ −1e16 = 0 but (1e16 ⊕ −1e16) ⊕ 1 = 1. Other
+  // rows around the cell put chunk boundaries next to it.
+  const index_t n = 4096;
+  const Hyper big = run_of(n, {3, 700, 701, 1500, 2900}, {1, 2, 2, 9, 4},
+                           {5, 1e16, 6, 7, 8});
+  const Hyper one = run_of(n, {700, 1500}, {2, 9}, {1, 1});
+  const Hyper neg = run_of(n, {10, 700, 4000}, {1, 2, 3}, {2, -1e16, 3});
+  const double zero = 0.0;
+  for (const auto& runs : {std::vector<const Hyper*>{&big, &one, &neg},
+                           std::vector<const Hyper*>{&big, &neg, &one},
+                           std::vector<const Hyper*>{&neg, &one, &big}}) {
+    check_hyper_matches_reference(runs);
+    check_hyper_matches_reference(runs, &zero);
+  }
+  const auto cell = [](const std::vector<const Hyper*>& runs,
+                       util::ThreadPool* pool) {
+    return sparse::merge_add_k(runs, plus, pool).row_vals(700)[0];
+  };
+  CHECK_EQ(cell({&big, &one, &neg}, nullptr), 0.0);
+  CHECK_EQ(cell({&big, &neg, &one}, nullptr), 1.0);
+  for (const std::size_t threads : kPools) {
+    util::ThreadPool pool(threads);
+    CHECK_EQ(cell({&big, &one, &neg}, &pool), 0.0);
+    CHECK_EQ(cell({&big, &neg, &one}, &pool), 1.0);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -462,5 +607,8 @@ int main() {
   test_hyper_row_sets();
   test_fold_row();
   test_csr_round_trip();
+  test_single_fold();
+  test_chunk_boundaries();
+  test_fp_fold_order();
   return TEST_MAIN_RESULT();
 }
